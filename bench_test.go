@@ -1,12 +1,13 @@
-// Benchmarks regenerating the quantitative tables B1-B14 (see DESIGN.md).
-// The paper (a vision paper) reports no absolute numbers; these benches
-// substantiate its performance *claims* — principally "we have shown the
-// LSM performance overhead to be minimal" (Section 8.2.1) — and expose the
-// scaling behaviour of every mechanism the design depends on.
+// Micro-benchmarks for the mechanisms the repository benchmark (bench/,
+// BENCHMARK.json) does not measure: kernel hook overhead (B1, the paper's
+// "we have shown the LSM performance overhead to be minimal", Section
+// 8.2.1), flow-check scaling with label size (B2), global tag resolution
+// (B6) and the sticky-policy comparison (B11, Section 10.2). Everything on
+// the message, control and evidence path is measured end to end by bench/.
 //
 // Run with:
 //
-//	go test -bench=. -benchmem .
+//	go test -run NONE -bench 'B1|B2|B6|B11' -benchmem .
 package lciot_test
 
 import (
@@ -15,20 +16,11 @@ import (
 	"testing"
 	"time"
 
-	"lciot/internal/ac"
 	"lciot/internal/audit"
-	"lciot/internal/cep"
-	"lciot/internal/core"
-	"lciot/internal/ctxmodel"
 	"lciot/internal/ifc"
-	"lciot/internal/msg"
 	"lciot/internal/names"
 	"lciot/internal/oskernel"
-	"lciot/internal/policy"
-	"lciot/internal/sbus"
 	"lciot/internal/sticky"
-	"lciot/internal/store"
-	"lciot/internal/transport"
 )
 
 // --- B1: kernel enforcement overhead (the paper's "minimal LSM overhead") ---
@@ -98,281 +90,6 @@ func BenchmarkB2FlowCheckDistinctPairs(b *testing.B) {
 	}
 }
 
-// --- B3: message-path enforcement overhead ---
-
-func newBenchBus(b *testing.B, schema *msg.Schema, clearance ifc.Label) (*sbus.Bus, *sbus.Component) {
-	b.Helper()
-	var acl ac.ACL
-	acl.DefineRole(ac.Role{Name: "any", Grants: []ac.Permission{{Action: "*", Resource: "**"}}})
-	if err := acl.Assign(ac.Assignment{Principal: "p", Role: "any", Args: map[string]string{}}); err != nil {
-		b.Fatal(err)
-	}
-	bus := sbus.NewBus("bench", &acl, nil, nil)
-	ctx := ifc.MustContext([]ifc.Tag{"medical"}, nil)
-	src, err := bus.Register("src", "p", ctx, nil,
-		sbus.EndpointSpec{Name: "out", Dir: sbus.Source, Schema: schema})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sink, err := bus.Register("dst", "p", ctx, func(*msg.Message, sbus.Delivery) {},
-		sbus.EndpointSpec{Name: "in", Dir: sbus.Sink, Schema: schema})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sink.SetClearance(clearance)
-	if err := bus.Connect("p", "src.out", "dst.in"); err != nil {
-		b.Fatal(err)
-	}
-	return bus, src
-}
-
-func benchSchema(withTags bool) *msg.Schema {
-	sensitive := ifc.EmptyLabel
-	if withTags {
-		sensitive = ifc.MustLabel("pii")
-	}
-	return msg.MustSchema("vitals", ifc.EmptyLabel,
-		msg.Field{Name: "patient", Type: msg.TString, Required: true, Secrecy: sensitive},
-		msg.Field{Name: "heart-rate", Type: msg.TFloat, Required: true},
-	)
-}
-
-func benchMessage() *msg.Message {
-	m := msg.New("vitals").Set("patient", msg.Str("ann")).Set("heart-rate", msg.Float(72))
-	m.DataID = "r"
-	return m
-}
-
-func BenchmarkB3MessagePathLocal(b *testing.B) {
-	_, src := newBenchBus(b, benchSchema(false), ifc.EmptyLabel)
-	m := benchMessage()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if n, err := src.Publish("out", m); err != nil || n != 1 {
-			b.Fatal(n, err)
-		}
-	}
-}
-
-func BenchmarkB3MessagePathWithQuench(b *testing.B) {
-	// The receiver lacks the "pii" clearance, so every delivery quenches
-	// the patient attribute.
-	_, src := newBenchBus(b, benchSchema(true), ifc.EmptyLabel)
-	m := benchMessage()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if n, err := src.Publish("out", m); err != nil || n != 1 {
-			b.Fatal(n, err)
-		}
-	}
-}
-
-func BenchmarkB3MessagePathCrossBus(b *testing.B) {
-	net := transport.NewMemNetwork()
-	var acl ac.ACL
-	acl.DefineRole(ac.Role{Name: "any", Grants: []ac.Permission{{Action: "*", Resource: "**"}}})
-	if err := acl.Assign(ac.Assignment{Principal: "p", Role: "any", Args: map[string]string{}}); err != nil {
-		b.Fatal(err)
-	}
-	home := sbus.NewBus("home", &acl, nil, nil)
-	cloud := sbus.NewBus("cloud", &acl, nil, nil)
-	l, err := net.Listen("cloud")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	go cloud.Serve(l)
-	if _, err := home.LinkTo(net, "cloud"); err != nil {
-		b.Fatal(err)
-	}
-
-	schema := benchSchema(false)
-	ctx := ifc.MustContext([]ifc.Tag{"medical"}, nil)
-	src, err := home.Register("src", "p", ctx, nil,
-		sbus.EndpointSpec{Name: "out", Dir: sbus.Source, Schema: schema})
-	if err != nil {
-		b.Fatal(err)
-	}
-	delivered := make(chan struct{}, 1024)
-	if _, err := cloud.Register("dst", "p", ctx,
-		func(*msg.Message, sbus.Delivery) { delivered <- struct{}{} },
-		sbus.EndpointSpec{Name: "in", Dir: sbus.Sink, Schema: schema}); err != nil {
-		b.Fatal(err)
-	}
-	if err := home.Connect("p", "src.out", "cloud:dst.in"); err != nil {
-		b.Fatal(err)
-	}
-	m := benchMessage()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := src.Publish("out", m); err != nil {
-			b.Fatal(err)
-		}
-		<-delivered
-	}
-}
-
-func BenchmarkB3CodecJSON(b *testing.B) {
-	m := benchMessage()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data, err := msg.EncodeJSON(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := msg.DecodeJSON(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkB3CodecBinary(b *testing.B) {
-	m := benchMessage()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		data, err := msg.EncodeBinary(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := msg.DecodeBinary(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- B4: reconfiguration propagation vs fan-out ---
-
-func BenchmarkB4Reconfiguration(b *testing.B) {
-	for _, fanout := range []int{1, 10, 100} {
-		b.Run(fmt.Sprintf("channels=%d", fanout), func(b *testing.B) {
-			schema := benchSchema(false)
-			var acl ac.ACL
-			acl.DefineRole(ac.Role{Name: "any", Grants: []ac.Permission{{Action: "*", Resource: "**"}}})
-			if err := acl.Assign(ac.Assignment{Principal: "p", Role: "any", Args: map[string]string{}}); err != nil {
-				b.Fatal(err)
-			}
-			bus := sbus.NewBus("bench", &acl, nil, nil)
-			// Sinks live in the *more* constrained {a,b} domain, so the
-			// source may oscillate between {a} and {a,b} with every channel
-			// staying legal — each SetContext re-evaluates all of them
-			// without tearing any down.
-			ctxA := ifc.MustContext([]ifc.Tag{"a"}, nil)
-			ctxB := ifc.MustContext([]ifc.Tag{"a", "b"}, nil)
-			src, err := bus.Register("src", "p", ctxA, nil,
-				sbus.EndpointSpec{Name: "out", Dir: sbus.Source, Schema: schema})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := src.Entity().GrantPrivileges(ifc.OwnerPrivileges("a", "b")); err != nil {
-				b.Fatal(err)
-			}
-			for i := 0; i < fanout; i++ {
-				name := "dst" + strconv.Itoa(i)
-				if _, err := bus.Register(name, "p", ctxB, nil,
-					sbus.EndpointSpec{Name: "in", Dir: sbus.Sink, Schema: schema}); err != nil {
-					b.Fatal(err)
-				}
-				if err := bus.Connect("p", "src.out", name+".in"); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := src.SetContext(ctxB); err != nil {
-					b.Fatal(err)
-				}
-				if err := src.SetContext(ctxA); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if got := len(bus.Channels()); got != fanout {
-				b.Fatalf("channels fell to %d during bench", got)
-			}
-		})
-	}
-}
-
-// --- B5: audit ingest and provenance queries ---
-
-func BenchmarkB5AuditAppend(b *testing.B) {
-	l := audit.NewLog(nil)
-	rec := audit.Record{
-		Kind: audit.FlowAllowed, Layer: audit.LayerMessaging,
-		Src: "a", Dst: "b", DataID: "d",
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Append(rec)
-	}
-}
-
-// BenchmarkB5AuditAppendAsync measures the enforcement-path cost of an
-// audit record when hashing is batched onto the background hasher: the
-// number to compare against BenchmarkB5AuditAppend, whose synchronous
-// chain-extend the message path no longer pays.
-func BenchmarkB5AuditAppendAsync(b *testing.B) {
-	l := audit.NewLog(nil)
-	rec := audit.Record{
-		Kind: audit.FlowAllowed, Layer: audit.LayerMessaging,
-		Src: "a", Dst: "b", DataID: "d",
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.AppendAsync(rec)
-	}
-	l.Flush()
-	b.StopTimer()
-	if l.Len() != b.N {
-		b.Fatalf("committed %d of %d records", l.Len(), b.N)
-	}
-}
-
-func BenchmarkB5AuditVerify(b *testing.B) {
-	l := audit.NewLog(nil)
-	for i := 0; i < 10000; i++ {
-		l.Append(audit.Record{Kind: audit.FlowAllowed, Src: "a", Dst: "b"})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if bad, err := l.Verify(); err != nil || bad != -1 {
-			b.Fatal(bad, err)
-		}
-	}
-}
-
-func BenchmarkB5ProvenanceAncestry(b *testing.B) {
-	for _, depth := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("chain=%d", depth), func(b *testing.B) {
-			l := audit.NewLog(nil)
-			for i := 0; i < depth; i++ {
-				l.Append(audit.Record{
-					Kind:   audit.FlowAllowed,
-					Src:    ifc.EntityID("proc" + strconv.Itoa(i)),
-					Dst:    ifc.EntityID("proc" + strconv.Itoa(i+1)),
-					DataID: "datum" + strconv.Itoa(i),
-				})
-			}
-			g := audit.BuildGraph(l.Select(nil))
-			leaf := "proc" + strconv.Itoa(depth)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := g.Ancestry(leaf); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- B6: global tag resolution, cold vs cached ---
 
 func benchNamespace(b *testing.B, depth int) (*names.Resolver, ifc.Tag) {
@@ -423,196 +140,6 @@ func BenchmarkB6NameResolutionCached(b *testing.B) {
 	}
 }
 
-// --- B7: CEP throughput vs pattern count ---
-
-func BenchmarkB7CEP(b *testing.B) {
-	for _, patterns := range []int{1, 10, 100} {
-		b.Run(fmt.Sprintf("patterns=%d", patterns), func(b *testing.B) {
-			e := cep.NewEngine(func(cep.Detection) {})
-			for i := 0; i < patterns; i++ {
-				e.Register(&cep.Threshold{
-					PatternName: "p" + strconv.Itoa(i),
-					Match:       func(ev cep.Event) bool { return ev.Value > 1e12 }, // never fires
-					Count:       3,
-					Window:      time.Minute,
-				})
-			}
-			t0 := time.Unix(0, 0)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e.Feed(cep.Event{Type: "hr", Time: t0.Add(time.Duration(i) * time.Millisecond), Value: 70})
-			}
-		})
-	}
-}
-
-// --- B8: policy evaluation throughput vs rule-set size ---
-
-func BenchmarkB8PolicyEvaluation(b *testing.B) {
-	for _, rules := range []int{1, 10, 100, 1000} {
-		b.Run(fmt.Sprintf("rules=%d", rules), func(b *testing.B) {
-			src := ""
-			for i := 0; i < rules; i++ {
-				src += fmt.Sprintf(
-					"rule \"r%d\" { on event \"hr\" when event.value > 1000 do alert \"x\" }\n", i)
-			}
-			store := ctxmodel.NewStore(nil)
-			eng := policy.NewEngine(store, nil)
-			eng.Load(policy.MustParse(src))
-			det := cep.Detection{Pattern: "hr", Value: 70}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if errs := eng.HandleDetection(det); len(errs) != 0 {
-					b.Fatal(errs)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkB8ConflictResolution measures the marginal cost of the
-// Challenge 4 machinery: N rules firing on one trigger, all claiming the
-// same resource, so every evaluation resolves N-1 conflicts.
-func BenchmarkB8ConflictResolution(b *testing.B) {
-	for _, rules := range []int{2, 10, 100} {
-		b.Run(fmt.Sprintf("conflicting=%d", rules), func(b *testing.B) {
-			src := ""
-			for i := 0; i < rules; i++ {
-				src += fmt.Sprintf(
-					"rule \"r%d\" priority %d { on event \"e\" do set mode = \"m%d\" }\n", i, i, i)
-			}
-			store := ctxmodel.NewStore(nil)
-			eng := policy.NewEngine(store, nil,
-				policy.WithConflictHandler(func(policy.Conflict) {}))
-			eng.Load(policy.MustParse(src))
-			det := cep.Detection{Pattern: "e"}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if errs := eng.HandleDetection(det); len(errs) != 0 {
-					b.Fatal(errs)
-				}
-			}
-		})
-	}
-}
-
-// --- Figure-level end-to-end benchmark ---
-
-// BenchmarkFig7EndToEnd pushes sensor events through the whole Fig. 7
-// pipeline — CEP detection, policy evaluation, context store — measuring
-// the sustainable event rate of one domain's decision plane.
-func BenchmarkFig7EndToEnd(b *testing.B) {
-	now := time.Unix(1700000000, 0)
-	d, err := core.NewDomain("bench", core.Options{Clock: func() time.Time { return now }})
-	if err != nil {
-		b.Fatal(err)
-	}
-	d.RegisterPattern(&cep.Threshold{
-		PatternName: "tachycardia",
-		Match:       func(e cep.Event) bool { return e.Value > 120 },
-		Count:       3, Window: 10 * time.Minute,
-	})
-	d.Store().Set("emergency", ctxmodel.Bool(false))
-	if err := d.LoadPolicy(`
-rule "emergency" priority 10 {
-    on event "tachycardia"
-    when not ctx.emergency
-    do set emergency = true; alert "emergency"
-}`); err != nil {
-		b.Fatal(err)
-	}
-	base := time.Unix(1700000000, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Normal readings: the common case that must stay cheap.
-		d.FeedEvent(cep.Event{
-			Type: "heart-rate", Source: "ann-sensor",
-			Time:  base.Add(time.Duration(i) * time.Second),
-			Value: 70,
-		})
-	}
-}
-
-// --- B9: durable audit append (group-committed WAL) ---
-
-// BenchmarkB9DurableAppend drives the full durable pipeline — async
-// hashing, ordered sink, WAL framing, group commit with one fsync per
-// flushed batch — at the batch sizes BENCH_3.json records.
-func BenchmarkB9DurableAppend(b *testing.B) {
-	for _, batch := range []int{1, 64, 1024} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			s, err := store.OpenAudit(b.TempDir(), store.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			l := audit.NewLog(nil)
-			if err := s.AttachLog(l); err != nil {
-				b.Fatal(err)
-			}
-			rec := audit.Record{
-				Kind: audit.FlowAllowed, Layer: audit.LayerMessaging,
-				Src: "sensor", Dst: "analyser", DataID: "reading-1",
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += batch {
-				for j := 0; j < batch; j++ {
-					l.AppendAsync(rec)
-				}
-				l.Flush()
-				if err := s.Sync(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkB10Recovery measures crash-recovery replay (segment scan, CRC,
-// decode, chain verify) for a store of b.N records; benchharness records
-// the 1M-record figure in BENCH_3.json.
-func BenchmarkB10Recovery(b *testing.B) {
-	dir := b.TempDir()
-	s, err := store.OpenAudit(dir, store.Options{NoSync: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := audit.NewLog(nil)
-	if err := s.AttachLog(l); err != nil {
-		b.Fatal(err)
-	}
-	rec := audit.Record{
-		Kind: audit.FlowAllowed, Layer: audit.LayerMessaging,
-		Src: "sensor", Dst: "analyser", DataID: "reading-1",
-	}
-	for i := 0; i < b.N; i++ {
-		l.AppendAsync(rec)
-		if i%100000 == 99999 {
-			if _, err := s.Offload(l); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	l.Flush()
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	s2, err := store.OpenAudit(dir, store.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if got := s2.NextSeq(); got != uint64(b.N) {
-		b.Fatalf("recovered %d, want %d", got, b.N)
-	}
-	s2.Close()
-}
-
 // --- B11: sticky-policy baseline vs IFC enforcement ---
 //
 // The paper (Section 10.2) positions sticky policies as the alternative
@@ -658,22 +185,6 @@ func BenchmarkB11IFCProtectFlow(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := k.ReadPipe(consumer.PID(), pipe); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkB8PolicyParse(b *testing.B) {
-	src := `
-rule "emergency-response" priority 10 {
-    on event "tachycardia"
-    when ctx.location == "home" and not ctx.emergency
-    do set emergency = true; alert "emergency"; breakglass 30m;
-       connect "a.out" -> "b.in"; actuate "s" "rate" 1
-}`
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := policy.Parse(src); err != nil {
 			b.Fatal(err)
 		}
 	}

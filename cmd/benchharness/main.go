@@ -1,110 +1,35 @@
-// Command benchharness regenerates the experiment suite (see DESIGN.md,
-// "Experiments"): the eleven figure reproductions E1-E11 (scenario checks
-// with observable outcomes) and the quantitative tables B1-B17. Absolute
-// numbers depend on the host; the *shapes* (who wins, what scales how)
-// are the reproduction targets.
+// Command benchharness regenerates the paper's figure reproductions E1-E11
+// (see DESIGN.md, "Experiments"): one scenario per figure, each checked
+// against an observable outcome and reported PASS or FAIL. Performance is
+// measured by the repository benchmark, bench/ (see BENCHMARK.json).
 //
 // Usage:
 //
-//	benchharness            run everything
-//	benchharness -e         run only the E-series scenarios
-//	benchharness -b         run only the B-series measurements
-//	benchharness -json F    also write the B-series rows to F as JSON
-//	                        (the repo keeps BENCH_<n>.json baselines so
-//	                        successive PRs have a perf trajectory)
-//	benchharness -shards L  shard counts for B14's aggregate rows as a
-//	                        comma list (default "1,4,32"); on multi-core
-//	                        hosts each count also sweeps GOMAXPROCS up to
-//	                        the lane count
+//	benchharness
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
-
-	"lciot/internal/telemetry"
 )
 
 func main() {
-	eOnly := flag.Bool("e", false, "run only the E-series figure reproductions")
-	bOnly := flag.Bool("b", false, "run only the B-series measurements")
-	jsonPath := flag.String("json", "", "write B-series measurements to this file as JSON")
-	shards := flag.String("shards", "", "comma-separated shard counts for the B14 aggregate rows (default 1,4,32)")
-	flag.Parse()
-	if *shards != "" {
-		for _, part := range strings.Split(*shards, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "benchharness: bad -shards entry %q\n", part)
-				os.Exit(2)
-			}
-			shardCountsFlag = append(shardCountsFlag, n)
-		}
-	}
-
 	failed := 0
-	if !*bOnly {
-		fmt.Println("=== E-series: figure reproductions ===")
-		for _, exp := range experiments {
-			obs, err := exp.run()
-			status := "PASS"
-			if err != nil {
-				status = "FAIL: " + err.Error()
-				failed++
-			}
-			fmt.Printf("%-4s %-34s %s\n", exp.id, exp.title, status)
-			if obs != "" {
-				fmt.Printf("     %s\n", obs)
-			}
+	fmt.Println("=== E-series: figure reproductions ===")
+	for _, exp := range experiments {
+		obs, err := exp.run()
+		status := "PASS"
+		if err != nil {
+			status = "FAIL: " + err.Error()
+			failed++
 		}
-		fmt.Println()
-	}
-	if !*eOnly {
-		fmt.Println("=== B-series: quantitative tables ===")
-		runMeasurements()
-	}
-	if *jsonPath != "" {
-		if err := writeBaseline(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "benchharness: %v\n", err)
-			os.Exit(1)
+		fmt.Printf("%-4s %-34s %s\n", exp.id, exp.title, status)
+		if obs != "" {
+			fmt.Printf("     %s\n", obs)
 		}
-		fmt.Printf("baseline written to %s (%d rows)\n", *jsonPath, len(benchRows))
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "benchharness: %d experiments failed\n", failed)
 		os.Exit(1)
 	}
-}
-
-// writeBaseline records the B-series rows with enough host context to make
-// cross-PR comparisons honest, plus the run's own telemetry snapshot (the
-// func-backed series stay live even though the B-series runs dark, so the
-// baseline records what the harness actually did — deliveries, WAL
-// appends, flow-cache traffic).
-func writeBaseline(path string) error {
-	out := struct {
-		GoVersion string             `json:"go_version"`
-		GOOS      string             `json:"goos"`
-		GOARCH    string             `json:"goarch"`
-		NumCPU    int                `json:"num_cpu"`
-		Rows      []benchRow         `json:"rows"`
-		Telemetry []telemetry.Metric `json:"telemetry,omitempty"`
-	}{
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Rows:      benchRows,
-		Telemetry: telemetry.Snapshot(),
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"syscall"
 	"testing"
+	"time"
 
 	"lciot/internal/fault"
 )
@@ -12,6 +13,7 @@ import (
 // in-memory buffering, failed once the buffer bound forces shedding.
 func TestHealthLadder(t *testing.T) {
 	defer fault.DisarmAll()
+	shrinkCPUProfile(t)
 	clock := newTestClock()
 	d, src := obligationDomain(t, t.TempDir(), clock)
 
@@ -46,4 +48,9 @@ func TestHealthLadder(t *testing.T) {
 		t.Fatalf("bus health = %+v, want ok", h)
 	}
 	_ = d.Close()
+	// The degradation started an asynchronous diagnostic capture into the
+	// data directory; let it finish before t.TempDir's cleanup removes it.
+	for d.diagInflight.Load() {
+		time.Sleep(time.Millisecond)
+	}
 }

@@ -1,23 +1,18 @@
 package msg
 
 import (
-	"encoding/base64"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
-	"unicode/utf8"
 )
 
-// This file provides the two wire encodings: JSON for interoperability and
-// debugging, and a compact binary TLV encoding for the data path (benchmark
-// B3 compares them). Both encoders build their output in pooled scratch
-// buffers — the returned slice is an exact-size copy, so steady-state
-// encoding costs one allocation per message regardless of growth history.
+// This file provides the wire encoding: a compact binary TLV form for the
+// data path. EncodeBinary builds its output in a pooled scratch buffer —
+// the returned slice is an exact-size copy, so steady-state encoding costs
+// one allocation per message regardless of growth history.
 
 // ErrCodec is the sentinel for malformed wire data.
 var ErrCodec = errors.New("msg: malformed encoding")
@@ -62,196 +57,6 @@ func sortedFieldNames(dst []string, m *Message) []string {
 	}
 	sort.Strings(dst)
 	return dst
-}
-
-// jsonMessage is the JSON wire schema.
-type jsonMessage struct {
-	Type   string               `json:"type"`
-	DataID string               `json:"data_id,omitempty"`
-	Attrs  map[string]jsonValue `json:"attrs"`
-}
-
-type jsonValue struct {
-	T string  `json:"t"`
-	S string  `json:"s,omitempty"`
-	F float64 `json:"f,omitempty"`
-	I int64   `json:"i,omitempty"`
-	B bool    `json:"b,omitempty"`
-	D string  `json:"d,omitempty"` // base64 bytes
-}
-
-// EncodeJSON renders the message as JSON on the same wire schema
-// encoding/json produced for jsonMessage (attributes sorted by name, zero
-// value members omitted), built by hand in a pooled buffer to avoid the
-// intermediate map and reflection allocations of json.Marshal.
-func (m *Message) appendJSON(buf []byte, names []string) ([]byte, []string, error) {
-	buf = append(buf, `{"type":`...)
-	buf = appendJSONString(buf, m.Type)
-	if m.DataID != "" {
-		buf = append(buf, `,"data_id":`...)
-		buf = appendJSONString(buf, m.DataID)
-	}
-	buf = append(buf, `,"attrs":{`...)
-	names = sortedFieldNames(names, m)
-	for i, name := range names {
-		v := m.Attrs[name]
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendJSONString(buf, name)
-		switch v.Type {
-		case TString:
-			buf = append(buf, `:{"t":"s"`...)
-			if v.Str != "" {
-				buf = append(buf, `,"s":`...)
-				buf = appendJSONString(buf, v.Str)
-			}
-		case TFloat:
-			buf = append(buf, `:{"t":"f"`...)
-			if v.Float != 0 {
-				if math.IsNaN(v.Float) || math.IsInf(v.Float, 0) {
-					return nil, names, fmt.Errorf("msg: field %q: unsupported float value %v", name, v.Float)
-				}
-				buf = append(buf, `,"f":`...)
-				buf = appendJSONFloat(buf, v.Float)
-			}
-		case TInt:
-			buf = append(buf, `:{"t":"i"`...)
-			if v.Int != 0 {
-				buf = append(buf, `,"i":`...)
-				buf = strconv.AppendInt(buf, v.Int, 10)
-			}
-		case TBool:
-			buf = append(buf, `:{"t":"b"`...)
-			if v.Bool {
-				buf = append(buf, `,"b":true`...)
-			}
-		case TBytes:
-			buf = append(buf, `:{"t":"d"`...)
-			if len(v.Bytes) > 0 {
-				buf = append(buf, `,"d":"`...)
-				buf = appendBase64(buf, v.Bytes)
-				buf = append(buf, '"')
-			}
-		default:
-			return nil, names, fmt.Errorf("msg: field %q has invalid type %d", name, v.Type)
-		}
-		buf = append(buf, '}')
-	}
-	buf = append(buf, "}}"...)
-	return buf, names, nil
-}
-
-// EncodeJSON renders the message as JSON.
-func EncodeJSON(m *Message) ([]byte, error) {
-	s := encPool.Get().(*encScratch)
-	buf, names, err := m.appendJSON(s.buf[:0], s.names)
-	s.buf, s.names = buf, names
-	if err != nil {
-		putScratch(s)
-		return nil, err
-	}
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	putScratch(s)
-	return out, nil
-}
-
-// appendJSONString appends s as a JSON string literal with the escaping
-// json.Unmarshal round-trips: quote, backslash and control characters are
-// escaped, invalid UTF-8 is replaced by U+FFFD (as encoding/json does).
-func appendJSONString(buf []byte, s string) []byte {
-	buf = append(buf, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' {
-				i++
-				continue
-			}
-			buf = append(buf, s[start:i]...)
-			switch c {
-			case '"':
-				buf = append(buf, '\\', '"')
-			case '\\':
-				buf = append(buf, '\\', '\\')
-			case '\n':
-				buf = append(buf, '\\', 'n')
-			case '\r':
-				buf = append(buf, '\\', 'r')
-			case '\t':
-				buf = append(buf, '\\', 't')
-			default:
-				buf = append(buf, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			buf = append(buf, s[start:i]...)
-			buf = append(buf, "�"...)
-			i++
-			start = i
-			continue
-		}
-		i += size
-	}
-	buf = append(buf, s[start:]...)
-	return append(buf, '"')
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONFloat appends a finite float in the shortest round-trippable
-// decimal form; "e" exponents are valid JSON numbers.
-func appendJSONFloat(buf []byte, f float64) []byte {
-	return strconv.AppendFloat(buf, f, 'g', -1, 64)
-}
-
-// appendBase64 appends the standard base64 encoding of b without an
-// intermediate string.
-func appendBase64(buf []byte, b []byte) []byte {
-	n := base64.StdEncoding.EncodedLen(len(b))
-	off := len(buf)
-	for cap(buf) < off+n {
-		buf = append(buf[:cap(buf)], 0)
-	}
-	buf = buf[:off+n]
-	base64.StdEncoding.Encode(buf[off:], b)
-	return buf
-}
-
-// DecodeJSON parses a JSON-encoded message.
-func DecodeJSON(data []byte) (*Message, error) {
-	var in jsonMessage
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCodec, err)
-	}
-	m := &Message{Type: in.Type, DataID: in.DataID, Attrs: make(map[string]Value, len(in.Attrs))}
-	for k, jv := range in.Attrs {
-		switch jv.T {
-		case "s":
-			m.Attrs[k] = Str(jv.S)
-		case "f":
-			m.Attrs[k] = Float(jv.F)
-		case "i":
-			m.Attrs[k] = Int(jv.I)
-		case "b":
-			m.Attrs[k] = Bool(jv.B)
-		case "d":
-			b, err := base64.StdEncoding.DecodeString(jv.D)
-			if err != nil {
-				return nil, fmt.Errorf("%w: field %q: %v", ErrCodec, k, err)
-			}
-			m.Attrs[k] = Bytes(b)
-		default:
-			return nil, fmt.Errorf("%w: field %q has unknown type tag %q", ErrCodec, k, jv.T)
-		}
-	}
-	return m, nil
 }
 
 // Binary layout:

@@ -2,109 +2,9 @@ package msg
 
 import (
 	"bytes"
-	"encoding/base64"
-	"encoding/json"
-	"math"
 	"sync"
 	"testing"
-	"testing/quick"
 )
-
-// refEncodeJSON is the pre-pooling reference encoder: marshal the wire
-// structs with encoding/json. The hand-rolled encoder must stay
-// semantically identical to it (same decoded message, same wire schema).
-func refEncodeJSON(m *Message) ([]byte, error) {
-	out := jsonMessage{Type: m.Type, DataID: m.DataID, Attrs: make(map[string]jsonValue, len(m.Attrs))}
-	for k, v := range m.Attrs {
-		jv := jsonValue{}
-		switch v.Type {
-		case TString:
-			jv.T, jv.S = "s", v.Str
-		case TFloat:
-			jv.T, jv.F = "f", v.Float
-		case TInt:
-			jv.T, jv.I = "i", v.Int
-		case TBool:
-			jv.T, jv.B = "b", v.Bool
-		case TBytes:
-			jv.T, jv.D = "d", base64.StdEncoding.EncodeToString(v.Bytes)
-		default:
-			return nil, ErrCodec
-		}
-		out.Attrs[k] = jv
-	}
-	return json.Marshal(out)
-}
-
-// TestEncodeJSONMatchesReference: for randomized messages, the hand-rolled
-// encoder and the encoding/json reference must produce wire bytes that
-// decode to identical messages, and both must be valid JSON.
-func TestEncodeJSONMatchesReference(t *testing.T) {
-	f := func(typ, dataID, s string, fl float64, i int64, bo bool, raw []byte) bool {
-		if math.IsNaN(fl) || math.IsInf(fl, 0) {
-			fl = 42
-		}
-		m := New(typ)
-		m.DataID = dataID
-		m.Set("s", Str(s)).Set("f", Float(fl)).Set("i", Int(i)).Set("b", Bool(bo)).Set("d", Bytes(raw))
-		// Zero values too: the reference omits them (omitempty), the
-		// hand-rolled encoder must round-trip them identically.
-		m.Set("z0", Str("")).Set("z1", Float(0)).Set("z2", Int(0)).Set("z3", Bool(false)).Set("z4", Bytes(nil))
-
-		got, err := EncodeJSON(m)
-		if err != nil {
-			return false
-		}
-		if !json.Valid(got) {
-			t.Logf("invalid JSON: %s", got)
-			return false
-		}
-		want, err := refEncodeJSON(m)
-		if err != nil {
-			return false
-		}
-		dGot, err := DecodeJSON(got)
-		if err != nil {
-			return false
-		}
-		dWant, err := DecodeJSON(want)
-		if err != nil {
-			return false
-		}
-		if dGot.Type != dWant.Type || dGot.DataID != dWant.DataID || len(dGot.Attrs) != len(dWant.Attrs) {
-			return false
-		}
-		for k, v := range dWant.Attrs {
-			if !dGot.Attrs[k].Equal(v) {
-				t.Logf("attr %q: got %v want %v", k, dGot.Attrs[k], v)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestEncodeJSONEscaping pins the tricky escapes: quotes, backslashes,
-// control characters, and multi-byte runes must survive the round trip.
-func TestEncodeJSONEscaping(t *testing.T) {
-	m := New("t\"y\\pe\n")
-	m.Set("k\t1", Str("line1\nline2\x00\x1f \"quoted\" \\slash\\ 控制 ☃"))
-	b, err := EncodeJSON(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(b) {
-		t.Fatalf("invalid JSON: %s", b)
-	}
-	back, err := DecodeJSON(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqualMessages(t, m, back)
-}
 
 // TestAppendBinaryMatchesEncodeBinary: the append-style API and the pooled
 // encoder produce identical bytes, and appending after a prefix leaves the
@@ -147,17 +47,6 @@ func TestEncodeResultNotAliased(t *testing.T) {
 	if !bytes.Equal(ea1, snapshot) {
 		t.Fatal("pooled scratch aliased into a returned encoding")
 	}
-	ja, err := EncodeJSON(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsnap := append([]byte(nil), ja...)
-	if _, err := EncodeJSON(b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ja, jsnap) {
-		t.Fatal("pooled scratch aliased into a returned JSON encoding")
-	}
 }
 
 // TestEncodeConcurrent exercises the scratch pool under -race.
@@ -179,10 +68,6 @@ func TestEncodeConcurrent(t *testing.T) {
 					t.Errorf("concurrent encode diverged: %v", err)
 					return
 				}
-				if _, err := EncodeJSON(local); err != nil {
-					t.Error(err)
-					return
-				}
 			}
 		}()
 	}
@@ -190,8 +75,7 @@ func TestEncodeConcurrent(t *testing.T) {
 }
 
 // TestEncodeAllocs: steady-state encoding allocates only the returned
-// slice (plus encoding internals it cannot avoid), far below the
-// map+reflection cost of the json.Marshal path.
+// slice (plus encoding internals it cannot avoid).
 func TestEncodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool reuse is randomised under -race; alloc counts are not meaningful")
@@ -200,20 +84,12 @@ func TestEncodeAllocs(t *testing.T) {
 	if _, err := EncodeBinary(m); err != nil { // warm the pool
 		t.Fatal(err)
 	}
-	binAllocs := testing.AllocsPerRun(200, func() {
+	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := EncodeBinary(m); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if binAllocs > 2 {
-		t.Fatalf("EncodeBinary allocates %.1f/op, want <= 2", binAllocs)
-	}
-	jsonAllocs := testing.AllocsPerRun(200, func() {
-		if _, err := EncodeJSON(m); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if jsonAllocs > 2 {
-		t.Fatalf("EncodeJSON allocates %.1f/op, want <= 2", jsonAllocs)
+	if allocs > 2 {
+		t.Fatalf("EncodeBinary allocates %.1f/op, want <= 2", allocs)
 	}
 }

@@ -33,19 +33,6 @@ func assertEqualMessages(t *testing.T, a, b *Message) {
 	}
 }
 
-func TestJSONRoundTrip(t *testing.T) {
-	m := sampleMessage()
-	b, err := EncodeJSON(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeJSON(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqualMessages(t, m, back)
-}
-
 func TestBinaryRoundTrip(t *testing.T) {
 	m := sampleMessage()
 	b, err := EncodeBinary(m)
@@ -73,33 +60,6 @@ func TestBinaryDeterministic(t *testing.T) {
 	}
 }
 
-func TestBinarySmallerThanJSON(t *testing.T) {
-	m := sampleMessage()
-	jb, err := EncodeJSON(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bb, err := EncodeBinary(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bb) >= len(jb) {
-		t.Fatalf("binary %d bytes, JSON %d bytes", len(bb), len(jb))
-	}
-}
-
-func TestDecodeJSONErrors(t *testing.T) {
-	if _, err := DecodeJSON([]byte("{nope")); !errors.Is(err, ErrCodec) {
-		t.Fatalf("garbage = %v", err)
-	}
-	if _, err := DecodeJSON([]byte(`{"type":"t","attrs":{"a":{"t":"zz"}}}`)); !errors.Is(err, ErrCodec) {
-		t.Fatalf("unknown type tag = %v", err)
-	}
-	if _, err := DecodeJSON([]byte(`{"type":"t","attrs":{"a":{"t":"d","d":"!!"}}}`)); !errors.Is(err, ErrCodec) {
-		t.Fatalf("bad base64 = %v", err)
-	}
-}
-
 func TestDecodeBinaryErrors(t *testing.T) {
 	good, err := EncodeBinary(sampleMessage())
 	if err != nil {
@@ -120,9 +80,6 @@ func TestDecodeBinaryErrors(t *testing.T) {
 func TestEncodeRejectsInvalidValueType(t *testing.T) {
 	m := New("t")
 	m.Attrs["bad"] = Value{Type: FieldType(99)}
-	if _, err := EncodeJSON(m); err == nil {
-		t.Fatal("JSON encoded invalid type")
-	}
 	if _, err := EncodeBinary(m); err == nil {
 		t.Fatal("binary encoded invalid type")
 	}
@@ -140,14 +97,6 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 		}
 		m.Set("f", Float(fl)).Set("i", Int(i)).Set("b", Bool(bo)).Set("d", Bytes(raw))
 
-		jb, err := EncodeJSON(m)
-		if err != nil {
-			return false
-		}
-		jm, err := DecodeJSON(jb)
-		if err != nil {
-			return false
-		}
 		bb, err := EncodeBinary(m)
 		if err != nil {
 			return false
@@ -157,11 +106,11 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 			return false
 		}
 		for k, v := range m.Attrs {
-			if !jm.Attrs[k].Equal(v) || !bm.Attrs[k].Equal(v) {
+			if !bm.Attrs[k].Equal(v) {
 				return false
 			}
 		}
-		return jm.Type == typ && bm.Type == typ && jm.DataID == dataID && bm.DataID == dataID
+		return bm.Type == typ && bm.DataID == dataID
 	}
 	cfg := &quick.Config{MaxCount: 200}
 	if err := quick.Check(f, cfg); err != nil {

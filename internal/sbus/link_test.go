@@ -209,6 +209,9 @@ func TestLinkListing(t *testing.T) {
 	if links := home.Links(); len(links) != 1 || links[0] != "cloud-bus" {
 		t.Fatalf("home links = %v", links)
 	}
+	// The acceptor records the link after answering the hello, so it can
+	// trail the dialer's LinkTo by a moment.
+	waitFor(t, func() bool { return len(cloud.Links()) > 0 }, "the acceptor's link")
 	if links := cloud.Links(); len(links) != 1 || links[0] != "home-bus" {
 		t.Fatalf("cloud links = %v", links)
 	}

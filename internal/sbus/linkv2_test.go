@@ -334,7 +334,8 @@ func TestEgressBatchingCoalesces(t *testing.T) {
 	waitFor(t, func() bool { return rec.count() == burst }, "burst delivery")
 	// With 2ms per transport frame, 50 unbatched frames would need 100ms+.
 	// This is inherently timing-ish, so only assert the queue drained and
-	// everything arrived; the batching win shows up in B12.
+	// everything arrived; the batching win shows up in the benchmark's
+	// federated_relay workload.
 	if st := home.LinkStatus(); st[0].QueueDepth != 0 {
 		t.Fatalf("queue not drained: %+v", st[0])
 	}

@@ -17,7 +17,7 @@ func registerBusMetrics(b *Bus) {
 	reg := telemetry.Default()
 	// Publish is the per-message hot path, so its latency is sampled
 	// 1-in-8: the unsampled publishes pay one atomic add instead of two
-	// clock reads (B15 prices the armed cost).
+	// clock reads.
 	b.pubHist = reg.Histogram("sbus_publish_ns", "bus", b.name).SampleEvery(3)
 	reg.GaugeFunc("sbus_shards", func() float64 { return float64(len(b.shards)) },
 		"bus", b.name)

@@ -106,42 +106,39 @@ var (
 	ErrProtocol = errors.New("sbus: link protocol mismatch")
 )
 
-// A LinkFrame is one unit of the cross-bus wire protocol. The JSON tags are
-// the legacy v1 wire schema, retained so the benchharness can measure the
-// v1 baseline against the v2 binary codec honestly.
+// A LinkFrame is one unit of the cross-bus wire protocol.
 type LinkFrame struct {
-	Kind string `json:"kind"` // hello, connect, result, message, disconnect
-	ID   uint64 `json:"id,omitempty"`
-	Bus  string `json:"bus,omitempty"`
+	Kind string // hello, connect, result, message, disconnect
+	ID   uint64
+	Bus  string
 
-	Src string `json:"src,omitempty"` // fully qualified "bus:comp.ep"
-	Dst string `json:"dst,omitempty"` // receiver-local "comp.ep"
+	Src string // fully qualified "bus:comp.ep"
+	Dst string // receiver-local "comp.ep"
 
-	SrcSecrecy   ifc.Label `json:"src_s,omitempty"`
-	SrcIntegrity ifc.Label `json:"src_i,omitempty"`
+	SrcSecrecy   ifc.Label
+	SrcIntegrity ifc.Label
 	// SrcJurisdiction and SrcPurpose are the obligation facets of the
 	// source context; on hello frames SrcJurisdiction is the sending bus's
 	// declared jurisdiction.
-	SrcJurisdiction ifc.Label `json:"src_j,omitempty"`
-	SrcPurpose      ifc.Label `json:"src_p,omitempty"`
+	SrcJurisdiction ifc.Label
+	SrcPurpose      ifc.Label
 
-	Schema  string `json:"schema,omitempty"`
-	Payload []byte `json:"payload,omitempty"` // msg.AppendBinary
+	Schema  string
+	Payload []byte // msg.AppendBinary
 
-	OK  bool   `json:"ok,omitempty"`
-	Err string `json:"err,omitempty"`
+	OK  bool
+	Err string
 
-	Agent ifc.PrincipalID `json:"agent,omitempty"`
+	Agent ifc.PrincipalID
 
 	// Trace is the flow-tracing context carried in the v4 frame trailer
-	// (zero when unsampled or when the peer negotiated v3). Not part of
-	// the legacy v1 JSON schema.
-	Trace telemetry.TraceContext `json:"-"`
+	// (zero when unsampled or when the peer negotiated v3).
+	Trace telemetry.TraceContext
 
 	// EgressNs is the sender's egress wall-clock (UnixNano) carried in the
 	// v5 trailer; 0 when the message carries no stage clock or the peer
-	// negotiated v3/v4. Not part of the legacy v1 JSON schema.
-	EgressNs uint64 `json:"-"`
+	// negotiated v3/v4.
+	EgressNs uint64
 }
 
 // kindByte maps the frame kind string to its wire byte.

@@ -1,7 +1,6 @@
 package sbus
 
 import (
-	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -98,12 +97,9 @@ func TestWireTruncationRejected(t *testing.T) {
 }
 
 func TestWireRejectsLegacyJSONCleanly(t *testing.T) {
-	f := testFrame()
-	v1, err := json.Marshal(&f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = DecodeBatch(v1)
+	// A protocol v1 peer sent one JSON object per transport frame.
+	v1 := []byte(`{"kind":"hello","bus":"home","src_j":"eu"}`)
+	_, err := DecodeBatch(v1)
 	if !errors.Is(err, ErrProtocol) {
 		t.Fatalf("v1 JSON frame: err = %v, want ErrProtocol", err)
 	}

@@ -18,8 +18,8 @@
 //     hot path nothing at all, and they report live values even while the
 //     recording gate is off.
 //
-// Snapshot() serves programmatic reads (lciotd's status line, tests,
-// benchharness baselines); WritePrometheus (prometheus.go) serves the
+// Snapshot() serves programmatic reads (lciotd's status line, tests, the
+// benchmark's per-layer read-outs); WritePrometheus (prometheus.go) serves the
 // /metrics endpoint. Both are built from the same registry, so the log
 // line and the scrape can never disagree.
 package telemetry

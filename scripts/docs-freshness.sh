@@ -1,6 +1,6 @@
 #!/bin/sh
 # docs-freshness: fail CI when operator-facing docs still carry claims
-# that stopped being true when the parallel dispatch plane landed.
+# that a past PR made false.
 # Each denylist entry is a present-tense claim about the architecture
 # that a past PR made false; history sections may *mention* the old
 # design ("replaced the single pending list"), but a doc asserting it
@@ -12,14 +12,30 @@ cd "$(dirname "$0")/.."
 
 DOCS="README.md DESIGN.md ROADMAP.md
 internal/audit/doc.go internal/cep/doc.go internal/core/doc.go
-internal/policy/doc.go internal/sbus/doc.go internal/store/doc.go"
+internal/policy/doc.go internal/sbus/doc.go internal/store/doc.go
+.claude/skills/verify/SKILL.md"
+
+# grep exits 2 when any listed file is missing, which would otherwise
+# read as "no match" and hide every stale claim in the others.
+for doc in $DOCS; do
+    if [ ! -f "$doc" ]; then
+        echo "docs-freshness: $doc is listed in DOCS but does not exist"
+        exit 2
+    fi
+done
 
 fail=0
 check() {
     pattern=$1
     why=$2
+    status=0
     # shellcheck disable=SC2086
-    if matches=$(grep -nE "$pattern" $DOCS); then
+    matches=$(grep -nE -e "$pattern" $DOCS) || status=$?
+    if [ "$status" -gt 1 ]; then
+        echo "docs-freshness: grep failed (exit $status) on pattern $pattern"
+        exit 2
+    fi
+    if [ "$status" -eq 0 ]; then
         echo "docs-freshness: stale claim — $why"
         echo "$matches"
         echo
@@ -35,14 +51,18 @@ check 'mutex-guarded pending list' \
     'audit ingest stages per lane; only chain-head assignment serializes'
 check 'serial(ises|izes) every (access|delivery)' \
     'the domain takes no engine-wide lock around CEP or policy dispatch'
-check 'B1.B1[0-6]([^0-9]|$)' \
-    'the benchmark table range is B1–B17 (BENCH_10.json)'
 check 'histograms in summary form|latency summaries \(p50/p90/p99\)' \
     '/metrics serves native histograms (le buckets) with companion _quantile gauges'
 check 'Link protocol v2/v3/v4([^/]|$)' \
     'the link protocol is v2–v5; v5 carries the stage-clock egress timestamp'
 check 'serves four surfaces' \
     'the operator surface has five endpoints: /metrics, /healthz, /traces, /lanes, pprof'
+check 'go run \./cmd/benchgate' \
+    'cmd/benchgate is gone; CI compares bench/ runs with scripts/bench-compare.sh'
+check 'go run \./cmd/benchharness +-[a-z]' \
+    'benchharness takes no flags; it only runs E1–E11 (performance is bench/)'
+check '-json +BENCH' \
+    'the BENCH_<n>.json baselines are gone; bench/ appends results with -out'
 
 if [ "$fail" -eq 0 ]; then
     echo "docs-freshness: OK"
