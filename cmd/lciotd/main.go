@@ -12,7 +12,7 @@
 //
 // Two daemons federate over real TCP: one listens (-listen or "listen" in
 // the configuration), the other dials it (-peer or "peers"). Peer links
-// speak link protocol v2 (binary framed, batched) and self-heal: if the
+// speak link protocol v5 (binary framed, batched) and self-heal: if the
 // peer dies, the dialing side reconnects with exponential backoff and
 // resumes the session — re-establishing every cross-node channel through
 // the peer's ingress re-validation — and the daemon logs each link state

@@ -9,7 +9,7 @@
 // The Log's hash chain needs a total order — every record names its
 // predecessor's hash — but the hot producers (the sharded bus's
 // dispatchers, one per shard) must not serialize on a single pending
-// list. AppendAsyncLane stages records into per-lane buffers: a lane
+// list. AppendAsyncOn stages records into per-lane buffers: a lane
 // append takes a global ticket and the lane's lock only, so dispatchers
 // on different lanes never contend. A single on-demand hasher goroutine
 // merges staged records across lanes by ticket order and commits them

@@ -45,7 +45,7 @@ var (
 // Staging is sharded: SetStagingLanes(n) gives the log n independent
 // staging buffers, each behind its own lock, so concurrent producers
 // (e.g. the bus's per-shard dispatchers) never contend on one ingest
-// mutex. AppendAsyncLane stages into a chosen lane; AppendAsync uses
+// mutex. AppendAsyncOn stages into a chosen lane; AppendAsync uses
 // lane 0. Chain head assignment stays serialized — only the hasher
 // assigns Seq/PrevHash/Hash, in arrival-ticket order — so the sharded
 // staging changes who waits where, never what the chain looks like:
@@ -212,26 +212,21 @@ func (l *Log) getLanes() *[]stageLane {
 	return l.lanes.Load()
 }
 
-// AppendAsync stages a record for batched, background hashing on lane 0
-// and returns immediately. See AppendAsyncLane.
-func (l *Log) AppendAsync(r Record) { l.AppendAsyncLane(0, r) }
+// AppendAsync is AppendAsyncOn(0, r, nil): the entry point for unsharded
+// callers and records that carry no stage clock.
+func (l *Log) AppendAsync(r Record) { l.AppendAsyncOn(0, r, nil) }
 
-// AppendAsyncLane stages a record for batched, background hashing on the
+// AppendAsyncOn stages a record for batched, background hashing on the
 // given staging lane (reduced modulo the lane count) and returns
 // immediately. The record's timestamp is assigned now (when zero); its
 // sequence number and chained hash are assigned by the hasher in
 // arrival-ticket order. Callers running on distinct lanes contend on
-// nothing but the arrival-ticket counter. Call Flush to wait for
-// commitment; read-side methods flush implicitly.
-func (l *Log) AppendAsyncLane(lane int, r Record) {
-	l.AppendAsyncLaneStaged(lane, r, nil)
-}
-
-// AppendAsyncLaneStaged is AppendAsyncLane threading the stage clock of the
-// message that produced the record (nil for unattributed flows): the hasher
-// marks the clock's decide→audit edge when the record commits, closing the
-// last pipeline stage.
-func (l *Log) AppendAsyncLaneStaged(lane int, r Record, stage *telemetry.StageClock) {
+// nothing but the arrival-ticket counter. stage is the stage clock of the
+// message that produced the record (nil for unattributed flows): the
+// hasher marks its decide→audit edge when the record commits, closing the
+// last pipeline stage. Call Flush to wait for commitment; read-side
+// methods flush implicitly.
+func (l *Log) AppendAsyncOn(lane int, r Record, stage *telemetry.StageClock) {
 	if r.Time.IsZero() {
 		r.Time = l.clock()
 	}
@@ -300,7 +295,7 @@ func (l *Log) IngestDepth() int {
 	return int(issued - l.completed)
 }
 
-// Flush blocks until every record staged via AppendAsync/AppendAsyncLane
+// Flush blocks until every record staged via AppendAsync/AppendAsyncOn
 // before the call has been hashed, chained and delivered to sinks.
 // Records staged after the call are not waited for, so Flush is bounded
 // even while other goroutines keep appending.

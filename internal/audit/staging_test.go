@@ -27,10 +27,10 @@ func TestStagingLanesChainOrder(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				l.AppendAsyncLane(g%lanes, Record{
+				l.AppendAsyncOn(g%lanes, Record{
 					Kind: FlowAllowed, Layer: LayerMessaging,
 					Note: fmt.Sprintf("g%d-%d", g, i),
-				})
+				}, nil)
 			}
 		}(g)
 	}
@@ -83,7 +83,7 @@ func TestStagingLanesSinkOrder(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				l.AppendAsyncLane(g, Record{Kind: FlowAllowed, Layer: LayerMessaging})
+				l.AppendAsyncOn(g, Record{Kind: FlowAllowed, Layer: LayerMessaging}, nil)
 			}
 		}(g)
 	}
@@ -106,10 +106,10 @@ func TestStagingLanesSinkOrder(t *testing.T) {
 func TestStagingLanesGrowOnly(t *testing.T) {
 	l := NewLog(nil)
 	l.SetStagingLanes(4)
-	l.AppendAsyncLane(3, Record{Kind: FlowAllowed, Layer: LayerMessaging})
+	l.AppendAsyncOn(3, Record{Kind: FlowAllowed, Layer: LayerMessaging}, nil)
 	l.SetStagingLanes(2) // no-op
 	l.SetStagingLanes(8)
-	l.AppendAsyncLane(7, Record{Kind: FlowAllowed, Layer: LayerMessaging})
+	l.AppendAsyncOn(7, Record{Kind: FlowAllowed, Layer: LayerMessaging}, nil)
 	l.Flush()
 	if got := l.Len(); got != 2 {
 		t.Fatalf("log has %d records, want 2", got)

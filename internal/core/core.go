@@ -541,7 +541,7 @@ func (d *Domain) LinkStatus() []sbus.LinkStatus { return d.bus.LinkStatus() }
 // LinkPeer dials a peer domain's bus, retrying with a linear backoff until
 // the peer answers or the wait budget runs out — at boot, federated nodes
 // come up in arbitrary order. Once established, the link self-heals (see
-// sbus link protocol v2); LinkPeer only covers the initial dial. Unlike
+// the sbus link protocol); LinkPeer only covers the initial dial. Unlike
 // Federate it performs no attestation, which is what a deployment without
 // provisioned TPM endorsement keys (e.g. the lciotd daemon) uses.
 func (d *Domain) LinkPeer(network transport.Network, addr string, wait time.Duration) (string, error) {

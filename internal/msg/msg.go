@@ -187,15 +187,14 @@ type Message struct {
 	// Trace is the flow-tracing context stamped at publish (zero when the
 	// flow is unsampled). It is message metadata, not payload: the wire
 	// codecs in this file do not carry it — the link protocol moves it in
-	// its own frame fields (sbus/wire.go, protocol v4) so a v3 peer can
-	// still decode the payload unchanged.
+	// its frame trailer (sbus/wire.go).
 	Trace telemetry.TraceContext
 	// Stage is the per-message stage clock armed at publish when stage
 	// attribution is sampled (nil otherwise — the common case). Like
 	// Trace it is metadata, not payload: clones share the same clock by
 	// pointer so edge marks telescope across quench copies and relay
 	// republishes, and the link protocol carries only the egress
-	// timestamp (v5 trailer), not the clock itself.
+	// timestamp (in the frame trailer), not the clock itself.
 	Stage *telemetry.StageClock
 }
 

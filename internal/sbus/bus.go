@@ -230,11 +230,6 @@ type Bus struct {
 	// pubHist times publish calls end to end (zero cost while telemetry
 	// is disabled: Start returns the zero time after one atomic load).
 	pubHist *telemetry.Histogram
-
-	// maxWireVer caps the link protocol version this bus advertises in
-	// hellos; 0 means the compiled-in maximum. Tests set it before
-	// linking to exercise v3 interop against a v4 build.
-	maxWireVer int
 }
 
 // NewBus builds a single-shard bus. The ACL governs the control plane (who
@@ -271,7 +266,7 @@ func NewShardedBus(name string, shards int, acl *ac.ACL, store *ctxmodel.Store, 
 	// One audit staging lane per shard: each dispatcher appends hot-path
 	// records into its own lane buffer, so audit ingest never serialises
 	// parallel deliveries (chain-order is restored at the merge; see
-	// audit.Log.AppendAsyncLane).
+	// audit.Log.AppendAsyncOn).
 	log.SetStagingLanes(shards)
 	b := &Bus{
 		name:  name,
@@ -305,19 +300,9 @@ func NewShardedBus(name string, shards int, acl *ac.ACL, store *ctxmodel.Store, 
 // Name returns the bus name (used in cross-bus addresses).
 func (b *Bus) Name() string { return b.name }
 
-// maxWire is the highest link protocol version this bus advertises in
-// hellos (maxWireVer caps it for interop tests; 0 means the compiled-in
-// maximum).
-func (b *Bus) maxWire() byte {
-	if b.maxWireVer >= linkVersionMin && b.maxWireVer < int(linkVersion) {
-		return byte(b.maxWireVer)
-	}
-	return linkVersion
-}
-
 // SetJurisdiction declares the jurisdictions this bus resides in. The
-// declaration travels in the federation hello (wire protocol v3), where
-// peer buses use it to gate egress of residency-constrained data; links
+// declaration travels in the jurisdiction field of the link hello frame,
+// where peer buses use it to gate egress of residency-constrained data; links
 // established before the call keep the jurisdiction they greeted with
 // until their next reconnect.
 func (b *Bus) SetJurisdiction(l ifc.Label) { b.jurisdiction.Store(&l) }
@@ -835,7 +820,7 @@ func (b *Bus) publish(c *Component, endpoint string, m *msg.Message) (int, error
 // may have changed since establishment), message-type clearance, attribute
 // quenching, then handler invocation. Every outcome is audited (the audit
 // records are staged per shard off the delivery path; see
-// audit.Log.AppendAsyncLane).
+// audit.Log.AppendAsyncOn).
 // Runs on the publisher's goroutine for same-shard sinks and on the
 // destination shard's dispatcher for cross-shard handoffs.
 func (b *Bus) deliverLocal(srcComp *Component, srcEP EndpointSpec, ch *channel, m *msg.Message) bool {
@@ -873,7 +858,7 @@ func (b *Bus) deliverLocal(srcComp *Component, srcEP EndpointSpec, ch *channel, 
 	// deliveries never serialise on audit ingest. A stage-attributed
 	// message threads its clock through so the decide→audit edge is marked
 	// at commit.
-	b.log.AppendAsyncLaneStaged(ch.dstShard, audit.Record{
+	b.log.AppendAsyncOn(ch.dstShard, audit.Record{
 		Kind: audit.FlowAllowed, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: srcComp.entity.ID(), Dst: dstComp.entity.ID(),
 		SrcCtx: srcCtx, DstCtx: dstCtx,

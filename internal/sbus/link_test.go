@@ -94,6 +94,56 @@ func TestFig9CrossMachineFlow(t *testing.T) {
 	}
 }
 
+// TestServeLinkRefusesOldVersionHello: a peer built for link protocol v3
+// opens with a v3-header hello (no frame trailer). The acceptor refuses it
+// with ErrProtocol, and Serve audits the rejected handshake.
+func TestServeLinkRefusesOldVersionHello(t *testing.T) {
+	frame, err := AppendLinkFrame(nil, &LinkFrame{Kind: "hello", ID: 3, Bus: "old-bus"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3Hello := append([]byte{linkMagic, 3, 0, 1}, frame[:len(frame)-trailerLen]...)
+
+	net := transport.NewMemNetwork()
+	cloud := NewBus("cloud-bus", openACL(), nil, nil)
+	listener, err := net.Listen("cloud-addr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { listener.Close() })
+	dialV3 := func() {
+		t.Helper()
+		conn, err := net.Dial("cloud-addr")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if err := conn.Send(v3Hello); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dialV3()
+	conn, err := listener.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cloud.ServeLink(conn); !errors.Is(err, ErrProtocol) {
+		t.Fatalf("ServeLink(v3 hello) = %v, want ErrProtocol", err)
+	}
+
+	go cloud.Serve(listener)
+	dialV3()
+	waitFor(t, func() bool {
+		return len(cloud.Log().Select(func(r audit.Record) bool {
+			return r.Kind == audit.FlowDenied && containsAll(r.Note, "link handshake rejected", "v3", "v5")
+		})) == 1
+	}, "audited handshake rejection")
+	if links := cloud.Links(); len(links) != 0 {
+		t.Fatalf("links after refused hellos = %v", links)
+	}
+}
+
 func TestCrossBusConnectRefusedByIFC(t *testing.T) {
 	home, cloud, _ := linkedBuses(t)
 

@@ -3,10 +3,12 @@ package sbus
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"lciot/internal/ifc"
 	"lciot/internal/msg"
+	"lciot/internal/telemetry"
 )
 
 func testFrame() LinkFrame {
@@ -23,13 +25,20 @@ func testFrame() LinkFrame {
 		OK:           true,
 		Err:          "nope",
 		Agent:        "hospital",
+		Trace: telemetry.TraceContext{
+			ID:  telemetry.TraceID{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210},
+			Hop: 3,
+		},
+		EgressNs: 1_700_000_000_123_456_789,
 	}
 }
 
-func TestWireFrameRoundTrip(t *testing.T) {
+// testBatch encodes one frame of every kind as a single batch.
+func testBatch(t testing.TB) ([]LinkFrame, []byte) {
+	t.Helper()
 	frames := []LinkFrame{
 		testFrame(),
-		{Kind: "hello", Bus: "b"},
+		{Kind: "hello", Bus: "b", SrcJurisdiction: ifc.MustLabel("eu")},
 		{Kind: "connect", ID: 7, Src: "a:x.out", Dst: "y.in", Schema: "s", Agent: "p"},
 		{Kind: "result", ID: 7, OK: false, Err: "denied"},
 		{Kind: "disconnect"},
@@ -41,6 +50,11 @@ func TestWireFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return frames, buf
+}
+
+func TestWireFrameRoundTrip(t *testing.T) {
+	frames, buf := testBatch(t)
 	got, err := DecodeBatch(buf)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +77,7 @@ func TestWireMessageFrameMatchesGeneric(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Payload = payload
-	generic, err := appendLinkFrameV5(nil, &f)
+	generic, err := AppendLinkFrame(nil, &f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,24 +110,25 @@ func TestWireTruncationRejected(t *testing.T) {
 	}
 }
 
-func TestWireRejectsLegacyJSONCleanly(t *testing.T) {
-	// A protocol v1 peer sent one JSON object per transport frame.
-	v1 := []byte(`{"kind":"hello","bus":"home","src_j":"eu"}`)
-	_, err := DecodeBatch(v1)
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("v1 JSON frame: err = %v, want ErrProtocol", err)
+// TestWireRefusesOtherVersions: a v1 JSON peer and a batch header carrying
+// any version byte but 5 are refused as a protocol mismatch, naming the
+// one version this bus speaks.
+func TestWireRefusesOtherVersions(t *testing.T) {
+	cases := map[string][]byte{
+		"v1 json": []byte(`{"kind":"hello","bus":"home","src_j":"eu"}`),
+		"v3":      {linkMagic, 3, 0, 0},
+		"v4":      {linkMagic, 4, 0, 0},
+		"v6":      {linkMagic, 6, 0, 0},
+		"v9":      {linkMagic, 9, 0, 0},
 	}
-	if got := err.Error(); got == "" || !containsAll(got, "v1", "v3") {
-		t.Fatalf("rejection message should name both versions, got %q", got)
-	}
-}
-
-func TestWireRejectsFutureVersion(t *testing.T) {
-	buf := AppendBatchHeader(nil, 0)
-	buf[1] = 9 // pretend v9
-	_, err := DecodeBatch(buf)
-	if !errors.Is(err, ErrProtocol) {
-		t.Fatalf("v9 batch: err = %v, want ErrProtocol", err)
+	for name, data := range cases {
+		_, err := DecodeBatch(data)
+		if !errors.Is(err, ErrProtocol) {
+			t.Fatalf("%s: err = %v, want ErrProtocol", name, err)
+		}
+		if !containsAll(err.Error(), "v5") {
+			t.Fatalf("%s: rejection should name v5, got %q", name, err)
+		}
 	}
 }
 
@@ -124,14 +139,70 @@ func TestWireRejectsBadMagicAndKind(t *testing.T) {
 	if _, err := DecodeBatch(nil); !errors.Is(err, ErrWire) {
 		t.Fatalf("empty: err = %v, want ErrWire", err)
 	}
-	buf := AppendBatchHeader(nil, 1)
-	buf = append(buf, 0xEE) // unknown kind byte
+	buf, err := AppendLinkFrame(AppendBatchHeader(nil, 1), &LinkFrame{Kind: "hello", Bus: "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[batchHeaderLen] = 0xEE // unknown kind byte
 	if _, err := DecodeBatch(buf); !errors.Is(err, ErrWire) {
 		t.Fatalf("unknown kind: err = %v, want ErrWire", err)
 	}
 	if _, err := AppendLinkFrame(nil, &LinkFrame{Kind: "bogus"}); !errors.Is(err, ErrWire) {
 		t.Fatalf("encode unknown kind: err = %v, want ErrWire", err)
 	}
+}
+
+// TestWireFrameCountBounded: the header's frame count comes from the peer,
+// so a 4-byte batch claiming 65 535 frames is refused before the decoder
+// sizes anything on it (it used to preallocate ~14 MB per call).
+func TestWireFrameCountBounded(t *testing.T) {
+	hdr := []byte{linkMagic, linkVersion, 0xFF, 0xFF}
+	if _, err := DecodeBatch(hdr); !errors.Is(err, ErrWire) {
+		t.Fatalf("oversized count: err = %v, want ErrWire", err)
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		_, _ = DecodeBatch(hdr)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > 4096 {
+		t.Fatalf("refusing an oversized count allocated %d B per call, want < 4 KiB", per)
+	}
+}
+
+// FuzzDecodeBatch feeds arbitrary bytes to the link decoder: it must never
+// panic, and any batch it accepts must survive re-encoding unchanged.
+func FuzzDecodeBatch(f *testing.F) {
+	_, batch := testBatch(f)
+	f.Add(batch)
+	for cut := 1; cut < len(batch); cut++ {
+		f.Add(batch[:cut])
+	}
+	f.Add([]byte(`{"kind":"hello","bus":"home"}`))
+	for _, v := range []byte{3, 4, 6} {
+		f.Add([]byte{linkMagic, v, 0, 1})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frames, err := DecodeBatch(data)
+		if err != nil {
+			return
+		}
+		buf := AppendBatchHeader(nil, len(frames))
+		for i := range frames {
+			if buf, err = AppendLinkFrame(buf, &frames[i]); err != nil {
+				t.Fatalf("re-encode frame %d: %v", i, err)
+			}
+		}
+		again, err := DecodeBatch(buf)
+		if err != nil {
+			t.Fatalf("re-decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, frames) {
+			t.Fatalf("round trip changed frames:\n got %+v\nwant %+v", again, frames)
+		}
+	})
 }
 
 func containsAll(s string, subs ...string) bool {

@@ -16,7 +16,7 @@
 //	stage_decide_audit_ns      policy decide  → audit record committed (async)
 //
 // plus one federated edge per peer, stage_link_hop_ns{bus,peer}, observed
-// at link ingress from the egress timestamp the v5 frame trailer carries
+// at link ingress from the egress timestamp the link frame trailer carries
 // (cross-node wall clocks, so subject to inter-host clock skew — compare
 // trends, not absolutes). The decide→audit edge is observed on the audit
 // drain goroutine when the staged record commits; commit can race ahead of

@@ -11,7 +11,7 @@ import (
 
 // Flow tracing: a compact trace context — 128-bit trace ID plus a hop
 // counter — is stamped on a message at publish (head-based sampling),
-// carried in the message metadata and across link protocol v4 frames, and
+// carried in the message metadata and in the link frame trailer, and
 // recorded as timestamped span events at each bus delivery, link
 // egress/ingress and relay forward. Only the head node consults the
 // sampling rate: once a message carries a trace, every downstream node

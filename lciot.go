@@ -34,7 +34,6 @@
 package lciot
 
 import (
-	"lciot/internal/ac"
 	"lciot/internal/attest"
 	"lciot/internal/audit"
 	"lciot/internal/cep"
@@ -42,11 +41,9 @@ import (
 	"lciot/internal/ctxmodel"
 	"lciot/internal/device"
 	"lciot/internal/fault"
-	"lciot/internal/gateway"
 	"lciot/internal/ifc"
 	"lciot/internal/msg"
 	"lciot/internal/names"
-	"lciot/internal/obligation"
 	"lciot/internal/policy"
 	"lciot/internal/sbus"
 	"lciot/internal/store"
@@ -67,15 +64,8 @@ type (
 	Privileges = ifc.Privileges
 	// Gate bridges security context domains (declassifier/endorser).
 	Gate = ifc.Gate
-	// GateRegistry holds a domain's installed gates and answers cached
-	// routability queries.
-	GateRegistry = ifc.GateRegistry
-	// Entity is a labelled active or passive entity.
-	Entity = ifc.Entity
 	// PrincipalID identifies a principal (person, organisation, service).
 	PrincipalID = ifc.PrincipalID
-	// FlowDecision explains a flow check outcome.
-	FlowDecision = ifc.FlowDecision
 )
 
 // IFC constructors and checks re-exported from the model.
@@ -101,9 +91,6 @@ var (
 	NewEntity = ifc.NewEntity
 	// ErrFlowDenied matches IFC denials via errors.Is.
 	ErrFlowDenied = ifc.ErrFlowDenied
-	// InvalidateFlowCache retires every cached flow decision in the
-	// process; control planes call it when privileges or gates change.
-	InvalidateFlowCache = ifc.InvalidateFlowCache
 )
 
 // --- Middleware core ---
@@ -114,9 +101,6 @@ type (
 	Domain = core.Domain
 	// Options configures a Domain.
 	Options = core.Options
-	// SubsystemHealth is one subsystem's position on the degradation
-	// ladder (Domain.Health reports them).
-	SubsystemHealth = core.SubsystemHealth
 	// HealthState is one rung of the ladder: ok, degraded or failed.
 	HealthState = core.HealthState
 )
@@ -138,8 +122,6 @@ var (
 // --- Messaging substrate (paper Sections 8.1, 8.2) ---
 
 type (
-	// Bus is one messaging substrate instance.
-	Bus = sbus.Bus
 	// Component is one "thing" on a bus.
 	Component = sbus.Component
 	// EndpointSpec declares a typed endpoint.
@@ -148,17 +130,11 @@ type (
 	Handler = sbus.Handler
 	// Delivery carries delivery metadata.
 	Delivery = sbus.Delivery
-	// ControlOp is a serialisable reconfiguration instruction (Fig. 8).
-	ControlOp = sbus.ControlOp
 	// LinkConfig tunes cross-bus link behaviour (queue bound, backpressure
 	// timeout, reconnect backoff and budget).
 	LinkConfig = sbus.LinkConfig
 	// LinkStatus is a point-in-time snapshot of one cross-bus link.
 	LinkStatus = sbus.LinkStatus
-	// LinkState is a link lifecycle state (up / reconnecting / closed).
-	LinkState = sbus.LinkState
-	// ShardStats is a point-in-time view of one bus shard.
-	ShardStats = sbus.ShardStats
 	// Message is a typed message instance.
 	Message = msg.Message
 	// Schema declares a message type.
@@ -173,13 +149,6 @@ const (
 	Sink   = sbus.Sink
 )
 
-// Link lifecycle states.
-const (
-	LinkUp           = sbus.LinkUp
-	LinkReconnecting = sbus.LinkReconnecting
-	LinkClosed       = sbus.LinkClosed
-)
-
 // Message field types.
 const (
 	TString = msg.TString
@@ -191,11 +160,6 @@ const (
 
 // Messaging constructors.
 var (
-	// NewBus builds a standalone single-shard bus (Domains build their own).
-	NewBus = sbus.NewBus
-	// NewShardedBus builds a standalone bus with routing and dispatch
-	// partitioned across the given number of shards.
-	NewShardedBus = sbus.NewShardedBus
 	// NewSchema builds a validated message schema.
 	NewSchema = msg.NewSchema
 	// MustSchema builds a schema from constant fields.
@@ -212,17 +176,6 @@ var (
 
 // --- Policy (paper Sections 3.1, 5) ---
 
-type (
-	// PolicySet is a parsed rule collection.
-	PolicySet = policy.PolicySet
-	// PolicyEngine evaluates rules and emits actions.
-	PolicyEngine = policy.Engine
-	// Action is one reconfiguration instruction emitted by policy.
-	Action = policy.Action
-	// Conflict reports two rules contending for one resource.
-	Conflict = policy.Conflict
-)
-
 var (
 	// ParsePolicy compiles policy source.
 	ParsePolicy = policy.Parse
@@ -233,38 +186,22 @@ var (
 type (
 	// Event is one observation fed to detection.
 	Event = cep.Event
-	// Detection is a matched pattern instance.
-	Detection = cep.Detection
 	// Pattern inspects the event stream.
 	Pattern = cep.Pattern
 	// ThresholdPattern fires on N matching events within a window.
 	ThresholdPattern = cep.Threshold
-	// SequencePattern fires on ordered steps within a window.
-	SequencePattern = cep.Sequence
 	// AbsencePattern fires when a stream goes silent.
 	AbsencePattern = cep.Absence
-	// AggregatePattern fires when a windowed aggregate crosses a limit.
-	AggregatePattern = cep.Aggregate
-	// ContextStore holds the environmental context.
-	ContextStore = ctxmodel.Store
-	// ContextValue is a typed context attribute value.
-	ContextValue = ctxmodel.Value
 	// VitalsSensor is a deterministic synthetic medical sensor.
 	VitalsSensor = device.VitalsSensor
-	// EnvironmentSensor is a deterministic random-walk sensor.
-	EnvironmentSensor = device.EnvironmentSensor
 	// Actuator accepts validated commands.
 	Actuator = device.Actuator
-	// Reading is one sensor sample.
-	Reading = device.Reading
 )
 
 // Context value and device constructors.
 var (
-	CtxString = ctxmodel.String
-	CtxNumber = ctxmodel.Number
-	CtxBool   = ctxmodel.Bool
-	CtxTime   = ctxmodel.Time
+	// CtxBool builds a boolean context value.
+	CtxBool = ctxmodel.Bool
 	// NewVitalsSensor builds a deterministic synthetic vitals sensor.
 	NewVitalsSensor = device.NewVitalsSensor
 	// NewEnvironmentSensor builds a deterministic environmental sensor.
@@ -276,19 +213,8 @@ var (
 // --- Audit & provenance (paper Section 8.3) ---
 
 type (
-	// AuditLog is a tamper-evident flow log.
-	AuditLog = audit.Log
-	// AuditRecord is one audit event.
-	AuditRecord = audit.Record
-	// ProvenanceGraph is the derived audit graph (Fig. 11).
-	ProvenanceGraph = audit.Graph
-	// ComplianceReport summarises a log for a regulator.
-	ComplianceReport = audit.ComplianceReport
 	// AuditStoreOptions configures a durable store (segment size, retention).
 	AuditStoreOptions = store.Options
-	// DurableAuditStore is the disk tier of the audit log: a segmented,
-	// hash-chained WAL with group commit and crash recovery.
-	DurableAuditStore = store.AuditStore
 )
 
 var (
@@ -299,96 +225,34 @@ var (
 	// OpenAuditStore opens and recovers a durable audit store directory
 	// (Domains with Options.DataDir do this automatically).
 	OpenAuditStore = store.OpenAudit
-	// ErrAuditDegraded matches the durable store's sticky degraded-mode
-	// error via errors.Is; it wraps the root I/O cause (e.g. ENOSPC).
-	ErrAuditDegraded = store.ErrDegraded
 )
 
 // --- Fault injection (chaos drills, robustness tests) ---
-
-type (
-	// FaultAction is what an armed failpoint does when it fires: inject an
-	// error, delay, cap a write, or drop the operation.
-	FaultAction = fault.Action
-	// FaultProgram is a deterministic trigger program (once, every-N, ...).
-	FaultProgram = fault.Program
-	// FaultPointState snapshots one registered failpoint for status output.
-	FaultPointState = fault.PointState
-)
 
 var (
 	// SetFaults arms failpoints from a spec string — the same grammar as
 	// lciotd's -faults flag, e.g. "store.wal.write=once(enospc)".
 	SetFaults = fault.Set
-	// ArmFault arms one named failpoint with a trigger program.
-	ArmFault = fault.Arm
-	// DisarmFaults disarms every armed failpoint.
-	DisarmFaults = fault.DisarmAll
 	// FaultSnapshot lists every registered failpoint and its state.
 	FaultSnapshot = fault.Snapshot
-	// ErrInjected matches injected failures via errors.Is (injected errors
-	// also match their root cause, e.g. syscall.ENOSPC).
-	ErrInjected = fault.ErrInjected
 )
 
 // --- Obligations: retention, erasure, residency, purpose limitation ---
 
-type (
-	// ObligationTable is a domain's compiled per-tag obligation sets.
-	ObligationTable = obligation.Table
-	// ObligationSet is the compiled duties attached to one tag.
-	ObligationSet = obligation.Set
-	// ObligationLintOptions configures LintObligations.
-	ObligationLintOptions = obligation.LintOptions
-	// RetentionCompliance is the regulator-facing retention proof for one
-	// tag: "all data under T older than D is gone or tombstoned".
-	RetentionCompliance = audit.RetentionCompliance
-	// Gateway bridges constrained devices onto a bus (re-exported so
-	// erasure propagation can be wired with Domain.AttachGateway).
-	Gateway = gateway.Gateway
-)
-
 var (
-	// CompileObligations builds an obligation table from parsed clauses.
-	CompileObligations = obligation.Compile
-	// LintObligations statically checks obligation declarations.
-	LintObligations = obligation.Lint
-	// DefaultJurisdictions is the linter's built-in jurisdiction registry.
-	DefaultJurisdictions = obligation.DefaultJurisdictions
 	// RetentionReport proves (or refutes) retention compliance for a tag.
 	RetentionReport = audit.RetentionReport
-	// NewGateway registers a gateway component on a bus.
-	NewGateway = gateway.New
 	// ErrResidency matches link-egress residency denials via errors.Is.
 	ErrResidency = sbus.ErrResidency
 )
 
-// FacetNone is the reserved jurisdiction/purpose tag meaning "allowed
-// nowhere": disjoint obligation constraints collapse to it when contexts
-// merge.
-const FacetNone = ifc.FacetNone
-
 // --- Access control, naming, attestation, transport ---
 
 type (
-	// ACL is the role-based access-control list guarding PEPs.
-	ACL = ac.ACL
-	// Role is a parametrised role.
-	Role = ac.Role
-	// Permission grants an action over a resource pattern.
-	Permission = ac.Permission
-	// Assignment activates a role for a principal.
-	Assignment = ac.Assignment
-	// TagZone is an authoritative tag namespace zone.
-	TagZone = names.Zone
 	// TagRecord is the authoritative description of a tag.
 	TagRecord = names.TagRecord
-	// TagResolver resolves tags through the zone tree.
-	TagResolver = names.Resolver
 	// AttestationPolicy states what a verifier requires of a platform.
 	AttestationPolicy = attest.Policy
-	// Network abstracts the byte transport (TCP or in-memory).
-	Network = transport.Network
 )
 
 var (
@@ -403,25 +267,8 @@ var (
 // --- Telemetry: metrics and end-to-end flow tracing ---
 
 type (
-	// TelemetryRegistry holds named metric series; Domain.Metrics returns
-	// the process-wide default registry lciotd's /metrics endpoint serves.
-	TelemetryRegistry = telemetry.Registry
 	// Metric is one series in a registry snapshot.
 	Metric = telemetry.Metric
-	// TraceID is a 128-bit flow identifier (32 hex digits in audit
-	// records and span events).
-	TraceID = telemetry.TraceID
-	// TraceSpan is one timestamped event on a flow trace.
-	TraceSpan = telemetry.Span
-	// FlowTrace groups the buffered spans of one trace ID.
-	FlowTrace = telemetry.Trace
-	// SkewReport summarises lane-load imbalance across the parallel plane;
-	// Domain.SkewReport builds one.
-	SkewReport = telemetry.SkewReport
-	// LaneLoad is one lane's row in a SkewReport.
-	LaneLoad = telemetry.LaneLoad
-	// HotComponent is one of a SkewReport's busiest components.
-	HotComponent = telemetry.HotComponent
 )
 
 var (
@@ -430,12 +277,8 @@ var (
 	// load, so libraries embed instruments unconditionally and daemons
 	// opt in at boot (lciotd does).
 	EnableTelemetry = telemetry.Enable
-	// DisableTelemetry turns recording instruments back off.
-	DisableTelemetry = telemetry.Disable
 	// TelemetrySnapshot reads every series in the default registry.
 	TelemetrySnapshot = telemetry.Snapshot
-	// FindMetric locates a series in a snapshot by name and label pairs.
-	FindMetric = telemetry.Find
 	// SetTraceSampling sets head-based flow-trace sampling: every n-th
 	// publish starts a trace; 0 disables (error spans still record).
 	SetTraceSampling = telemetry.SetTraceSampling
@@ -448,8 +291,6 @@ var (
 	SetStageSampling = telemetry.SetStageSampling
 	// StageSampling reports the current stage-attribution sampling rate.
 	StageSampling = telemetry.StageSampling
-	// StageEdges lists the local stage-edge metric names in pipeline order.
-	StageEdges = telemetry.StageEdges
 )
 
 // TCP is the production transport over real sockets.

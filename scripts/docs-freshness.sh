@@ -53,8 +53,10 @@ check 'serial(ises|izes) every (access|delivery)' \
     'the domain takes no engine-wide lock around CEP or policy dispatch'
 check 'histograms in summary form|latency summaries \(p50/p90/p99\)' \
     '/metrics serves native histograms (le buckets) with companion _quantile gauges'
-check 'Link protocol v2/v3/v4([^/]|$)' \
-    'the link protocol is v2–v5; v5 carries the stage-clock egress timestamp'
+check 'v5↔v4' \
+    'v5 is the only link protocol version; v3/v4 peers are refused with ErrProtocol'
+check 'min\(local max' \
+    'links no longer negotiate a version at hello time; any other version is refused'
 check 'serves four surfaces' \
     'the operator surface has five endpoints: /metrics, /healthz, /traces, /lanes, pprof'
 check 'go run \./cmd/benchgate' \
