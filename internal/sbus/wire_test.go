@@ -110,17 +110,10 @@ func TestWireTruncationRejected(t *testing.T) {
 	}
 }
 
-// TestWireRefusesOtherVersions: a v1 JSON peer and a batch header carrying
-// any version byte but 5 are refused as a protocol mismatch, naming the
-// one version this bus speaks.
-func TestWireRefusesOtherVersions(t *testing.T) {
-	cases := map[string][]byte{
-		"v1 json": []byte(`{"kind":"hello","bus":"home","src_j":"eu"}`),
-		"v3":      {linkMagic, 3, 0, 0},
-		"v4":      {linkMagic, 4, 0, 0},
-		"v6":      {linkMagic, 6, 0, 0},
-		"v9":      {linkMagic, 9, 0, 0},
-	}
+// wantVersionRefused checks that each batch is refused as a protocol
+// mismatch whose message names the one version this bus speaks.
+func wantVersionRefused(t *testing.T, cases map[string][]byte) {
+	t.Helper()
 	for name, data := range cases {
 		_, err := DecodeBatch(data)
 		if !errors.Is(err, ErrProtocol) {
@@ -130,6 +123,32 @@ func TestWireRefusesOtherVersions(t *testing.T) {
 			t.Fatalf("%s: rejection should name v5, got %q", name, err)
 		}
 	}
+}
+
+// TestWireRefusesOtherVersions: a batch header from an older binary
+// protocol (v3, v4) is refused; there is no negotiation down to it.
+func TestWireRefusesOtherVersions(t *testing.T) {
+	wantVersionRefused(t, map[string][]byte{
+		"v3": {linkMagic, 3, 0, 0},
+		"v4": {linkMagic, 4, 0, 0},
+	})
+}
+
+func TestWireRejectsLegacyJSONCleanly(t *testing.T) {
+	// A protocol v1 peer sent one JSON object per transport frame.
+	v1 := []byte(`{"kind":"hello","bus":"home","src_j":"eu"}`)
+	wantVersionRefused(t, map[string][]byte{"v1 json": v1})
+	_, err := DecodeBatch(v1)
+	if !containsAll(err.Error(), "v1") {
+		t.Fatalf("rejection message should name v1, got %q", err)
+	}
+}
+
+func TestWireRejectsFutureVersion(t *testing.T) {
+	wantVersionRefused(t, map[string][]byte{
+		"v6": {linkMagic, 6, 0, 0},
+		"v9": {linkMagic, 9, 0, 0},
+	})
 }
 
 func TestWireRejectsBadMagicAndKind(t *testing.T) {
