@@ -108,7 +108,7 @@ func runE1() (string, error) {
 
 // runE2 reproduces the Fig. 2 chain with policy persisting end to end.
 func runE2() (string, error) {
-	bus := sbus.NewBus("e2", openACL("h"), nil, nil)
+	bus := sbus.NewShardedBus("e2", 1, openACL("h"), nil, nil)
 	names := []string{"home", "gateway", "app", "db", "analyser"}
 	counts := make([]int, len(names))
 	for i, n := range names {
@@ -302,7 +302,7 @@ rule "emergency" priority 10 {
 
 // runE8 reproduces Fig. 8 third-party reconfiguration.
 func runE8() (string, error) {
-	bus := sbus.NewBus("e8", openACL("policy-engine"), nil, nil)
+	bus := sbus.NewShardedBus("e8", 1, openACL("policy-engine"), nil, nil)
 	if _, err := bus.Register("a", "h", annCtx(), nil,
 		sbus.EndpointSpec{Name: "out", Dir: sbus.Source, Schema: vitalsSchema}); err != nil {
 		return "", err
@@ -332,8 +332,8 @@ func runE8() (string, error) {
 // runE9 reproduces Fig. 9 cross-machine enforcement.
 func runE9() (string, error) {
 	net := transport.NewMemNetwork()
-	home := sbus.NewBus("home", openACL("h"), nil, nil)
-	cloud := sbus.NewBus("cloud", openACL("h"), nil, nil)
+	home := sbus.NewShardedBus("home", 1, openACL("h"), nil, nil)
+	cloud := sbus.NewShardedBus("cloud", 1, openACL("h"), nil, nil)
 	l, err := net.Listen("cloud")
 	if err != nil {
 		return "", err
@@ -379,7 +379,7 @@ func runE10() (string, error) {
 		msg.Field{Name: "name", Type: msg.TString, Secrecy: ifc.MustLabel("C")},
 		msg.Field{Name: "country", Type: msg.TString},
 	)
-	bus := sbus.NewBus("e10", openACL("h"), nil, nil)
+	bus := sbus.NewShardedBus("e10", 1, openACL("h"), nil, nil)
 	if _, err := bus.Register("app", "h", ifc.SecurityContext{}, nil,
 		sbus.EndpointSpec{Name: "out", Dir: sbus.Source, Schema: person}); err != nil {
 		return "", err

@@ -38,7 +38,8 @@ type Detection struct {
 }
 
 // A Pattern inspects the event stream. Implementations are stateful and not
-// safe for concurrent use; the Engine serialises access.
+// safe for concurrent use; the lane a ShardedEngine homes the pattern on
+// serialises access.
 type Pattern interface {
 	// Name identifies the pattern in detections.
 	Name() string
@@ -51,10 +52,10 @@ type Pattern interface {
 }
 
 // A TypedPattern is a Pattern that declares the event types it subscribes
-// to. The Engine uses the declaration to index the pattern by type, so
+// to. Each engine lane uses the declaration to index the pattern by type, so
 // feeding an event costs work proportional to the patterns that can match
 // it, not to every registered pattern. An empty (or nil) declaration means
-// "all types": the pattern lands in the engine's catch-all bucket and sees
+// "all types": the pattern lands in the lane's catch-all bucket and sees
 // every event, exactly like a plain Pattern.
 //
 // Declaring types is a contract: a TypedPattern's OnEvent must ignore
@@ -68,103 +69,6 @@ type TypedPattern interface {
 	EventTypes() []string
 }
 
-// An indexed is one registered pattern plus its registration sequence
-// number, which fixes delivery order when merging index buckets.
-type indexed struct {
-	seq int
-	p   Pattern
-}
-
-// An Engine multiplexes events over registered patterns and delivers
-// detections to a handler. Patterns declaring event types (TypedPattern)
-// are indexed by type; the rest live in a catch-all bucket. Feed merges the
-// event type's bucket with the catch-all bucket in registration order, so
-// detections arrive exactly as they would from a linear walk over every
-// pattern.
-type Engine struct {
-	// patterns holds every registered pattern in registration order; Advance
-	// iterates it so tick delivery is deterministic.
-	patterns []Pattern
-	byType   map[string][]indexed
-	catchAll []indexed
-	handler  func(Detection)
-}
-
-// NewEngine builds an engine delivering detections to handler.
-func NewEngine(handler func(Detection)) *Engine {
-	if handler == nil {
-		handler = func(Detection) {}
-	}
-	return &Engine{handler: handler, byType: make(map[string][]indexed)}
-}
-
-// Register adds a pattern. Patterns implementing TypedPattern with a
-// non-empty declaration are indexed under each declared type; all others
-// see every event.
-func (e *Engine) Register(p Pattern) {
-	entry := indexed{seq: len(e.patterns), p: p}
-	e.patterns = append(e.patterns, p)
-	if tp, ok := p.(TypedPattern); ok {
-		types := tp.EventTypes()
-		if len(types) > 0 {
-			seen := make(map[string]struct{}, len(types))
-			for _, t := range types {
-				if _, dup := seen[t]; dup {
-					continue // a duplicate declaration must not double-deliver
-				}
-				seen[t] = struct{}{}
-				e.byType[t] = append(e.byType[t], entry)
-			}
-			return
-		}
-	}
-	e.catchAll = append(e.catchAll, entry)
-}
-
-// cepFeedHist times Feed end to end — the per-event cost of complex event
-// processing (zero-cost while telemetry is disabled).
-var cepFeedHist = telemetry.NewHistogram("cep_feed_ns")
-
-// Feed processes one event through the patterns subscribed to its type
-// (plus the catch-all bucket), in registration order.
-func (e *Engine) Feed(ev Event) {
-	start := cepFeedHist.Start()
-	typed := e.byType[ev.Type]
-	all := e.catchAll
-	// Merge the two seq-sorted buckets so delivery order matches a linear
-	// walk over every registered pattern.
-	i, j := 0, 0
-	for i < len(typed) || j < len(all) {
-		var p Pattern
-		if j >= len(all) || (i < len(typed) && typed[i].seq < all[j].seq) {
-			p = typed[i].p
-			i++
-		} else {
-			p = all[j].p
-			j++
-		}
-		if d, ok := p.OnEvent(ev); ok {
-			// Stage attribution: the completing event's clock rides on the
-			// detection, and the deliver→detect edge closes here (nil-safe).
-			d.Stage = ev.Stage
-			ev.Stage.MarkDetect()
-			e.handler(d)
-		}
-	}
-	cepFeedHist.ObserveSince(start)
-}
-
-// Advance moves the engine clock forward, giving time-driven patterns a
-// chance to fire. Patterns tick in registration order, so delivery is
-// deterministic across runs regardless of how patterns are indexed.
-func (e *Engine) Advance(now time.Time) {
-	for _, p := range e.patterns {
-		if d, ok := p.OnTick(now); ok {
-			e.handler(d)
-		}
-	}
-}
-
 // A Purger is a Pattern that can drop buffered events matching a
 // predicate. The built-in windowed patterns implement it, so an erasure
 // obligation can purge an erased subject's events from live detection
@@ -174,19 +78,6 @@ type Purger interface {
 	// PurgeEvents drops buffered events the predicate accepts and returns
 	// how many were dropped.
 	PurgeEvents(match func(Event) bool) int
-}
-
-// Purge drops matching events from every registered pattern's window and
-// returns the total dropped. Patterns that buffer no events (or do not
-// implement Purger) are unaffected.
-func (e *Engine) Purge(match func(Event) bool) int {
-	n := 0
-	for _, p := range e.patterns {
-		if pr, ok := p.(Purger); ok {
-			n += pr.PurgeEvents(match)
-		}
-	}
-	return n
 }
 
 // purgeEvents filters buf in place, dropping events the predicate accepts.
@@ -239,7 +130,7 @@ func sourceMatch(sources []string, s string) bool {
 type Threshold struct {
 	PatternName string
 	// Types optionally restricts the pattern to these event types; empty
-	// means every type. Declared types let the Engine index the pattern.
+	// means every type. Declared types let the engine index the pattern.
 	Types []string
 	// Sources optionally restricts the pattern to events from these
 	// sources; empty means every source. Declared sources let the
@@ -308,7 +199,7 @@ func (t *Threshold) PurgeEvents(match func(Event) bool) int {
 type Sequence struct {
 	PatternName string
 	// Types optionally restricts the pattern to these event types; empty
-	// means every type. Declared types let the Engine index the pattern.
+	// means every type. Declared types let the engine index the pattern.
 	Types []string
 	// Sources optionally restricts the pattern to events from these
 	// sources; empty means every source. Declared sources let the
@@ -384,7 +275,7 @@ func (s *Sequence) PurgeEvents(match func(Event) bool) int {
 type Absence struct {
 	PatternName string
 	// Types optionally restricts the pattern to these event types; empty
-	// means every type. Declared types let the Engine index the pattern.
+	// means every type. Declared types let the engine index the pattern.
 	Types []string
 	// Sources optionally restricts the pattern to events from these
 	// sources; empty means every source. Declared sources let the
@@ -469,7 +360,7 @@ func (k AggKind) String() string {
 type Aggregate struct {
 	PatternName string
 	// Types optionally restricts the pattern to these event types; empty
-	// means every type. Declared types let the Engine index the pattern.
+	// means every type. Declared types let the engine index the pattern.
 	Types []string
 	// Sources optionally restricts the pattern to events from these
 	// sources; empty means every source. Declared sources let the

@@ -16,7 +16,7 @@ func collect() (*[]Detection, func(Detection)) {
 
 func TestThresholdFiresWithinWindow(t *testing.T) {
 	got, handler := collect()
-	e := NewEngine(handler)
+	e := NewShardedEngine(1, handler)
 	e.Register(&Threshold{
 		PatternName: "tachycardia",
 		Match:       func(ev Event) bool { return ev.Type == "heart-rate" && ev.Value > 120 },
@@ -48,7 +48,7 @@ func TestThresholdFiresWithinWindow(t *testing.T) {
 
 func TestThresholdWindowEviction(t *testing.T) {
 	got, handler := collect()
-	e := NewEngine(handler)
+	e := NewShardedEngine(1, handler)
 	e.Register(&Threshold{PatternName: "burst", Count: 3, Window: 10 * time.Second})
 
 	e.Feed(Event{Time: at(0)})
@@ -66,7 +66,7 @@ func TestThresholdWindowEviction(t *testing.T) {
 
 func TestSequenceOrderedMatch(t *testing.T) {
 	got, handler := collect()
-	e := NewEngine(handler)
+	e := NewShardedEngine(1, handler)
 	typeIs := func(want string) func(Event) bool {
 		return func(ev Event) bool { return ev.Type == want }
 	}
@@ -91,7 +91,7 @@ func TestSequenceOrderedMatch(t *testing.T) {
 
 func TestSequenceWindowExpiry(t *testing.T) {
 	got, handler := collect()
-	e := NewEngine(handler)
+	e := NewShardedEngine(1, handler)
 	typeIs := func(want string) func(Event) bool {
 		return func(ev Event) bool { return ev.Type == want }
 	}
@@ -115,7 +115,7 @@ func TestSequenceWindowExpiry(t *testing.T) {
 
 func TestSequenceEmptySteps(t *testing.T) {
 	got, handler := collect()
-	e := NewEngine(handler)
+	e := NewShardedEngine(1, handler)
 	e.Register(&Sequence{PatternName: "empty"})
 	e.Feed(Event{Type: "x", Time: at(0)})
 	if len(*got) != 0 {
@@ -125,7 +125,7 @@ func TestSequenceEmptySteps(t *testing.T) {
 
 func TestAbsenceDetection(t *testing.T) {
 	got, handler := collect()
-	e := NewEngine(handler)
+	e := NewShardedEngine(1, handler)
 	e.Register(&Absence{
 		PatternName: "sensor-offline",
 		Match:       func(ev Event) bool { return ev.Type == "heartbeat" },
@@ -162,7 +162,7 @@ func TestAbsenceDetection(t *testing.T) {
 
 func TestAggregateAverage(t *testing.T) {
 	got, handler := collect()
-	e := NewEngine(handler)
+	e := NewShardedEngine(1, handler)
 	e.Register(&Aggregate{
 		PatternName: "avg-temp-high",
 		Kind:        AggAvg,
@@ -188,7 +188,7 @@ func TestAggregateAverage(t *testing.T) {
 
 func TestAggregateMinBelow(t *testing.T) {
 	got, handler := collect()
-	e := NewEngine(handler)
+	e := NewShardedEngine(1, handler)
 	e.Register(&Aggregate{
 		PatternName: "spo2-low",
 		Kind:        AggMin,
@@ -211,7 +211,7 @@ func TestAggregateMinBelow(t *testing.T) {
 
 func TestAggregateMax(t *testing.T) {
 	got, handler := collect()
-	e := NewEngine(handler)
+	e := NewShardedEngine(1, handler)
 	e.Register(&Aggregate{
 		PatternName: "spike",
 		Kind:        AggMax,
@@ -228,7 +228,7 @@ func TestAggregateMax(t *testing.T) {
 
 func TestEngineMultiplePatterns(t *testing.T) {
 	got, handler := collect()
-	e := NewEngine(handler)
+	e := NewShardedEngine(1, handler)
 	e.Register(&Threshold{PatternName: "p1", Count: 1, Window: time.Minute})
 	e.Register(&Threshold{PatternName: "p2", Count: 1, Window: time.Minute})
 	e.Feed(Event{Time: at(0)})
@@ -238,7 +238,7 @@ func TestEngineMultiplePatterns(t *testing.T) {
 }
 
 func TestEngineNilHandler(t *testing.T) {
-	e := NewEngine(nil)
+	e := NewShardedEngine(1, nil)
 	e.Register(&Threshold{PatternName: "p", Count: 1, Window: time.Minute})
 	e.Feed(Event{Time: at(0)}) // must not panic
 	e.Advance(at(1))

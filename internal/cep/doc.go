@@ -3,12 +3,12 @@
 // on patterns of events, e.g. detected by complex-event methods". The
 // policy engine subscribes to detections and responds with reconfiguration.
 //
-// The package offers two engines over the same patterns. Engine is
-// deterministic and externally serialized: callers feed events and
-// advance time explicitly from one goroutine, so simulations and tests
-// are exactly reproducible. ShardedEngine partitions dispatch across
-// lanes for the domain's parallel pipeline (below); a 1-lane
-// ShardedEngine behaves exactly like an Engine.
+// ShardedEngine is the one engine. It partitions dispatch across lanes
+// for the domain's parallel pipeline (below); each lane owns its
+// patterns, its type index and its lock. A 1-lane engine holds every
+// pattern on one lane and delivers in registration order, so callers
+// that feed events and advance time from one goroutine — simulations,
+// tests — get exactly reproducible runs.
 //
 // # Type-indexed dispatch
 //
@@ -25,7 +25,7 @@
 //
 // # Source-partitioned lanes
 //
-// ShardedEngine adds a second axis: patterns that declare their event
+// Lanes add a second axis: patterns that declare their event
 // sources (SourceAffine; the built-ins do, via their Sources field) are
 // homed on the lane every declared source hashes to — the same FNV-1a
 // placement hash the sharded bus uses for components

@@ -87,8 +87,8 @@ func TestFeedIndexedMatchesLinear(t *testing.T) {
 		pa, pb := buildPatterns(r, types)
 
 		var got, want []Detection
-		indexed := NewEngine(func(d Detection) { got = append(got, d) })
-		linear := NewEngine(func(d Detection) { want = append(want, d) })
+		indexed := NewShardedEngine(1, func(d Detection) { got = append(got, d) })
+		linear := NewShardedEngine(1, func(d Detection) { want = append(want, d) })
 		for i := range pa {
 			indexed.Register(pa[i])
 			linear.Register(untyped{p: pb[i]})
@@ -122,7 +122,7 @@ func TestFeedIndexedMatchesLinear(t *testing.T) {
 // an event of one type must not reach a pattern typed for another.
 func TestFeedSkipsUnsubscribedPatterns(t *testing.T) {
 	touched := 0
-	e := NewEngine(nil)
+	e := NewShardedEngine(1, nil)
 	for i := 0; i < 100; i++ {
 		typ := "t" + strconv.Itoa(i)
 		e.Register(&Threshold{
@@ -141,7 +141,7 @@ func TestFeedSkipsUnsubscribedPatterns(t *testing.T) {
 // twice must still see each event once.
 func TestRegisterDuplicateTypesDeliverOnce(t *testing.T) {
 	seen := 0
-	e := NewEngine(nil)
+	e := NewShardedEngine(1, nil)
 	e.Register(&Threshold{
 		PatternName: "dup", Types: []string{"hr", "hr"},
 		Match: func(Event) bool { seen++; return false },
@@ -158,7 +158,7 @@ func TestRegisterDuplicateTypesDeliverOnce(t *testing.T) {
 func TestAdvanceDeterministicOrder(t *testing.T) {
 	for run := 0; run < 20; run++ {
 		var fired []string
-		e := NewEngine(func(d Detection) { fired = append(fired, d.Pattern) })
+		e := NewShardedEngine(1, func(d Detection) { fired = append(fired, d.Pattern) })
 		var want []string
 		for i := 0; i < 30; i++ {
 			name := "abs" + strconv.Itoa(i)

@@ -1,11 +1,13 @@
 package cep
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"lciot/internal/lanehash"
+	"lciot/internal/telemetry"
 )
 
 // A SourceAffine is a Pattern that declares the event sources (component
@@ -37,13 +39,17 @@ func laneIdxFor(source string, n int) int {
 	return lanehash.Index(source, n)
 }
 
-// An engineLane is one dispatch lane: a plain Engine behind its own lock,
-// collecting detections into a buffer that Feed/Advance hand to the
-// sharded engine's handler after the lock is released.
-type engineLane struct {
-	mu      sync.Mutex
-	eng     *Engine
-	pending []Detection
+// A lane is one dispatch lane: the patterns homed on it, indexed by event
+// type, behind the lane's own lock. feed, advance and purge run under the
+// lock and return what they produced, so the ShardedEngine delivers
+// detections after releasing it.
+type lane struct {
+	mu sync.Mutex
+	// patterns holds every pattern on the lane in registration order;
+	// advance and purge iterate it so tick delivery is deterministic.
+	patterns []Pattern
+	byType   map[string][]indexed
+	catchAll []indexed
 	// npat counts registered patterns; Feed skips the broadcast lane's
 	// lock entirely while the broadcast set is empty.
 	npat atomic.Int32
@@ -52,15 +58,97 @@ type engineLane struct {
 	evals atomic.Uint64
 }
 
-// take runs fn under the lane lock and returns the detections it
-// produced, leaving the buffer empty for the next caller.
-func (ln *engineLane) take(fn func(e *Engine)) []Detection {
+// An indexed is one registered pattern plus its registration sequence
+// number, which fixes delivery order when merging index buckets.
+type indexed struct {
+	seq int
+	p   Pattern
+}
+
+// register adds a pattern. Patterns implementing TypedPattern with a
+// non-empty declaration are indexed under each declared type; all others
+// see every event.
+func (ln *lane) register(p Pattern) {
 	ln.mu.Lock()
-	fn(ln.eng)
-	dets := ln.pending
-	ln.pending = nil
+	defer ln.mu.Unlock()
+	ln.npat.Add(1)
+	entry := indexed{seq: len(ln.patterns), p: p}
+	ln.patterns = append(ln.patterns, p)
+	if tp, ok := p.(TypedPattern); ok {
+		if types := tp.EventTypes(); len(types) > 0 {
+			for i, t := range types {
+				if slices.Contains(types[:i], t) {
+					continue // a duplicate declaration must not double-deliver
+				}
+				ln.byType[t] = append(ln.byType[t], entry)
+			}
+			return
+		}
+	}
+	ln.catchAll = append(ln.catchAll, entry)
+}
+
+// cepFeedHist times a lane feed inside the lane lock — the per-event cost
+// of complex event processing (zero-cost while telemetry is disabled).
+var cepFeedHist = telemetry.NewHistogram("cep_feed_ns")
+
+// feed processes one event through the lane's patterns subscribed to its
+// type (plus the catch-all bucket), in registration order.
+func (ln *lane) feed(ev Event) (dets []Detection) {
+	ln.mu.Lock()
+	start := cepFeedHist.Start()
+	typed := ln.byType[ev.Type]
+	all := ln.catchAll
+	// Merge the two seq-sorted buckets so delivery order matches a linear
+	// walk over every registered pattern.
+	i, j := 0, 0
+	for i < len(typed) || j < len(all) {
+		var p Pattern
+		if j >= len(all) || (i < len(typed) && typed[i].seq < all[j].seq) {
+			p = typed[i].p
+			i++
+		} else {
+			p = all[j].p
+			j++
+		}
+		if d, ok := p.OnEvent(ev); ok {
+			// Stage attribution: the completing event's clock rides on the
+			// detection, and the deliver→detect edge closes here (nil-safe).
+			d.Stage = ev.Stage
+			ev.Stage.MarkDetect()
+			dets = append(dets, d)
+		}
+	}
+	cepFeedHist.ObserveSince(start)
 	ln.mu.Unlock()
 	return dets
+}
+
+// advance ticks the lane's patterns in registration order, so delivery is
+// deterministic regardless of how patterns are indexed.
+func (ln *lane) advance(now time.Time) (dets []Detection) {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	for _, p := range ln.patterns {
+		if d, ok := p.OnTick(now); ok {
+			dets = append(dets, d)
+		}
+	}
+	return dets
+}
+
+// purge drops matching events from the windows of the lane's patterns
+// that implement Purger and returns the total dropped.
+func (ln *lane) purge(match func(Event) bool) int {
+	ln.mu.Lock()
+	defer ln.mu.Unlock()
+	n := 0
+	for _, p := range ln.patterns {
+		if pr, ok := p.(Purger); ok {
+			n += pr.PurgeEvents(match)
+		}
+	}
+	return n
 }
 
 // A ShardedEngine partitions pattern dispatch across n lanes keyed by the
@@ -70,18 +158,19 @@ func (ln *engineLane) take(fn func(e *Engine)) []Detection {
 // declared sources on that lane) see only that lane's events; everything
 // else lives in a small broadcast lane that sees every event and is the
 // only cross-lane serialization point. A 1-lane engine holds every
-// pattern on lane 0 and behaves exactly like a plain Engine.
+// pattern on lane 0, so it delivers in registration order, and callers
+// that feed and advance from one goroutine get exactly reproducible runs.
 //
 // Detections are delivered to the handler after the lane lock is
 // released, so the handler may call Purge (erase-on-event does) and may
 // itself run concurrently with feeds on other lanes — handlers must be
 // safe for concurrent use on multi-lane engines. Within one lane,
-// detection order is registration order, exactly as in Engine; ordering
-// across lanes is whatever the feeders' concurrency produces.
+// detection order is registration order; ordering across lanes is
+// whatever the feeders' concurrency produces.
 type ShardedEngine struct {
 	handler func(Detection)
-	lanes   []*engineLane
-	bcast   *engineLane
+	lanes   []*lane
+	bcast   *lane
 }
 
 // NewShardedEngine builds an engine with n dispatch lanes (clamped to at
@@ -93,16 +182,11 @@ func NewShardedEngine(n int, handler func(Detection)) *ShardedEngine {
 	if handler == nil {
 		handler = func(Detection) {}
 	}
-	se := &ShardedEngine{handler: handler, lanes: make([]*engineLane, n)}
-	mkLane := func() *engineLane {
-		ln := &engineLane{}
-		ln.eng = NewEngine(func(d Detection) { ln.pending = append(ln.pending, d) })
-		return ln
-	}
+	se := &ShardedEngine{handler: handler, lanes: make([]*lane, n)}
 	for i := range se.lanes {
-		se.lanes[i] = mkLane()
+		se.lanes[i] = &lane{byType: make(map[string][]indexed)}
 	}
-	se.bcast = mkLane()
+	se.bcast = &lane{byType: make(map[string][]indexed)}
 	return se
 }
 
@@ -130,9 +214,9 @@ func (se *ShardedEngine) LaneOf(source string) int {
 // homeLane picks where a pattern lives: the single lane every declared
 // source hashes to, or the broadcast lane for undeclared and cross-lane
 // patterns.
-func (se *ShardedEngine) homeLane(p Pattern) *engineLane {
+func (se *ShardedEngine) homeLane(p Pattern) *lane {
 	if len(se.lanes) == 1 {
-		return se.lanes[0] // single lane: exact Engine semantics, no broadcast split
+		return se.lanes[0] // single lane: registration order, no broadcast split
 	}
 	sa, ok := p.(SourceAffine)
 	if !ok {
@@ -154,11 +238,7 @@ func (se *ShardedEngine) homeLane(p Pattern) *engineLane {
 // Register adds a pattern, homing it by source affinity (see
 // SourceAffine). Safe to call while other goroutines feed.
 func (se *ShardedEngine) Register(p Pattern) {
-	ln := se.homeLane(p)
-	ln.mu.Lock()
-	ln.eng.Register(p)
-	ln.mu.Unlock()
-	ln.npat.Add(1)
+	se.homeLane(p).register(p)
 }
 
 // Feed processes one event through the patterns on its source's lane and
@@ -168,13 +248,13 @@ func (se *ShardedEngine) Register(p Pattern) {
 func (se *ShardedEngine) Feed(ev Event) {
 	ln := se.lanes[laneIdxFor(ev.Source, len(se.lanes))]
 	ln.evals.Add(1)
-	for _, d := range ln.take(func(e *Engine) { e.Feed(ev) }) {
+	for _, d := range ln.feed(ev) {
 		se.handler(d)
 	}
 	if se.bcast.npat.Load() == 0 {
 		return
 	}
-	for _, d := range se.bcast.take(func(e *Engine) { e.Feed(ev) }) {
+	for _, d := range se.bcast.feed(ev) {
 		se.handler(d)
 	}
 }
@@ -184,14 +264,14 @@ func (se *ShardedEngine) Feed(ev Event) {
 // next, so time-driven delivery is deterministic for a quiescent engine.
 func (se *ShardedEngine) Advance(now time.Time) {
 	for _, ln := range se.lanes {
-		for _, d := range ln.take(func(e *Engine) { e.Advance(now) }) {
+		for _, d := range ln.advance(now) {
 			se.handler(d)
 		}
 	}
 	if se.bcast.npat.Load() == 0 {
 		return
 	}
-	for _, d := range se.bcast.take(func(e *Engine) { e.Advance(now) }) {
+	for _, d := range se.bcast.advance(now) {
 		se.handler(d)
 	}
 }
@@ -203,12 +283,7 @@ func (se *ShardedEngine) Advance(now time.Time) {
 func (se *ShardedEngine) Purge(match func(Event) bool) int {
 	n := 0
 	for _, ln := range se.lanes {
-		ln.mu.Lock()
-		n += ln.eng.Purge(match)
-		ln.mu.Unlock()
+		n += ln.purge(match)
 	}
-	se.bcast.mu.Lock()
-	n += se.bcast.eng.Purge(match)
-	se.bcast.mu.Unlock()
-	return n
+	return n + se.bcast.purge(match)
 }

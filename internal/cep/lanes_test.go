@@ -88,75 +88,63 @@ func detKey(d Detection) string {
 }
 
 // TestShardedEngineMatchesEngine feeds the identical stream through a
-// plain Engine and a 4-lane ShardedEngine and requires the same
-// detection multiset: partitioned dispatch must be observably identical
-// to feeding every pattern every event.
+// 1-lane and a 4-lane ShardedEngine and requires the same detection
+// multiset: partitioned dispatch must be observably identical to feeding
+// every pattern every event on one lane.
 func TestShardedEngineMatchesEngine(t *testing.T) {
 	const n = 4
-	run := func(feed func([]Pattern, []Event, func(Detection))) []string {
+	run := func(lanes int) []string {
 		var keys []string
-		feed(laneTestPatterns(n), laneTestEvents(n), func(d Detection) {
-			keys = append(keys, detKey(d))
-		})
+		se := NewShardedEngine(lanes, func(d Detection) { keys = append(keys, detKey(d)) })
+		for _, p := range laneTestPatterns(n) {
+			se.Register(p)
+		}
+		for _, ev := range laneTestEvents(n) {
+			se.Feed(ev)
+		}
 		sort.Strings(keys)
 		return keys
 	}
+	single, sharded := run(1), run(n)
 
-	plain := run(func(ps []Pattern, evs []Event, h func(Detection)) {
-		e := NewEngine(h)
-		for _, p := range ps {
-			e.Register(p)
-		}
-		for _, ev := range evs {
-			e.Feed(ev)
-		}
-	})
-	sharded := run(func(ps []Pattern, evs []Event, h func(Detection)) {
-		se := NewShardedEngine(n, h)
-		for _, p := range ps {
-			se.Register(p)
-		}
-		for _, ev := range evs {
-			se.Feed(ev)
-		}
-	})
-
-	if len(plain) == 0 {
+	if len(single) == 0 {
 		t.Fatal("reference engine produced no detections; test is vacuous")
 	}
-	if len(plain) != len(sharded) {
-		t.Fatalf("detection count: plain %d, sharded %d\nplain: %v\nsharded: %v",
-			len(plain), len(sharded), plain, sharded)
+	if len(single) != len(sharded) {
+		t.Fatalf("detection count: 1 lane %d, %d lanes %d\n1 lane: %v\n%d lanes: %v",
+			len(single), n, len(sharded), single, n, sharded)
 	}
-	for i := range plain {
-		if plain[i] != sharded[i] {
-			t.Fatalf("detection %d differs: plain %q, sharded %q", i, plain[i], sharded[i])
+	for i := range single {
+		if single[i] != sharded[i] {
+			t.Fatalf("detection %d differs: 1 lane %q, %d lanes %q", i, single[i], n, sharded[i])
 		}
 	}
 }
 
-// TestShardedEngineSingleLaneOrder requires that a 1-lane sharded engine
-// preserves the plain Engine's exact detection order (not just multiset):
-// everything lives on lane 0, no broadcast split.
+// TestShardedEngineSingleLaneOrder requires that a 1-lane engine delivers
+// in exact registration order (not just the same multiset): everything
+// lives on lane 0, no broadcast split. The reference walks every pattern
+// linearly for every event.
 func TestShardedEngineSingleLaneOrder(t *testing.T) {
-	var plain, sharded []string
-	e := NewEngine(func(d Detection) { plain = append(plain, detKey(d)) })
+	var linear, sharded []string
+	ref := laneTestPatterns(1)
 	se := NewShardedEngine(1, func(d Detection) { sharded = append(sharded, detKey(d)) })
-	for _, p := range laneTestPatterns(1) {
-		e.Register(p)
-	}
 	for _, p := range laneTestPatterns(1) {
 		se.Register(p)
 	}
 	for _, ev := range laneTestEvents(1) {
-		e.Feed(ev)
+		for _, p := range ref {
+			if d, ok := p.OnEvent(ev); ok {
+				linear = append(linear, detKey(d))
+			}
+		}
 		se.Feed(ev)
 	}
-	if len(plain) == 0 {
+	if len(linear) == 0 {
 		t.Fatal("no detections; test is vacuous")
 	}
-	if fmt.Sprint(plain) != fmt.Sprint(sharded) {
-		t.Fatalf("order differs:\nplain:   %v\nsharded: %v", plain, sharded)
+	if fmt.Sprint(linear) != fmt.Sprint(sharded) {
+		t.Fatalf("order differs:\nlinear:  %v\nsharded: %v", linear, sharded)
 	}
 }
 

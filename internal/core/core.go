@@ -125,10 +125,16 @@ type Domain struct {
 	// Diagnostic capture state (see diag.go): dataDir is retained so
 	// degradation transitions can snapshot profiles under DataDir/diag;
 	// diagInflight serialises captures; diagLastSkewNs debounces
-	// skew-triggered captures.
+	// skew-triggered captures. diagMu orders starting a capture against
+	// Close, which closes diagStop (ending a running CPU profile early)
+	// and then waits on diagWG, so no capture writes into DataDir after
+	// Close returns.
 	dataDir        string
 	diagInflight   atomic.Bool
 	diagLastSkewNs atomic.Int64
+	diagMu         sync.Mutex
+	diagStop       chan struct{}
+	diagWG         sync.WaitGroup
 }
 
 // NewDomain assembles a domain. The returned domain owns its bus, stores,
@@ -213,6 +219,7 @@ func NewDomain(name string, opts Options) (*Domain, error) {
 		onAlert:    opts.OnAlert,
 		auditStore: auditStore,
 		dataDir:    opts.DataDir,
+		diagStop:   make(chan struct{}),
 		oblSched:   obligation.NewScheduler(time.Second, 16),
 		prov:       &audit.Graph{},
 	}
@@ -302,11 +309,16 @@ func (d *Domain) OffloadAudit() (int, error) {
 // remains usable for in-memory work afterwards, but nothing further is
 // persisted. Close is idempotent and safe against concurrent Tick /
 // SweepObligations: it waits out any in-flight sweep before closing the
-// store, and later sweeps observe the closed flag and do nothing. Repeat
-// calls return the first call's result.
+// store, and later sweeps observe the closed flag and do nothing. It also
+// cuts short and waits out an in-flight diagnostic capture; none starts
+// afterwards. Repeat calls return the first call's result.
 func (d *Domain) Close() error {
 	d.closeOnce.Do(func() {
 		d.closed.Store(true)
+		d.diagMu.Lock()
+		close(d.diagStop)
+		d.diagMu.Unlock()
+		d.diagWG.Wait()
 		// Barrier: an in-flight sweep holds sweepMu; once we acquire and
 		// release it, every subsequent sweep sees the closed flag before
 		// touching the store.

@@ -52,16 +52,24 @@ var (
 func init() { diagCPUProfileNs.Store(int64(5 * time.Second)) }
 
 // maybeCaptureDiag starts an asynchronous diagnostic capture, unless one
-// is already running or the domain has no DataDir. Safe to call from any
-// goroutine, including under healthMu.
+// is already running, the domain has no DataDir, or the domain is closed
+// (closing itself moves health to a worse rung, and a capture then would
+// write into a data directory its owner is done with). Safe to call from
+// any goroutine, including under healthMu.
 func (d *Domain) maybeCaptureDiag(reason string) {
 	if d.dataDir == "" {
 		return
 	}
-	if !d.diagInflight.CompareAndSwap(false, true) {
+	d.diagMu.Lock()
+	defer d.diagMu.Unlock()
+	if d.closed.Load() || !d.diagInflight.CompareAndSwap(false, true) {
 		return
 	}
-	go d.captureDiag(reason)
+	d.diagWG.Add(1)
+	go func() {
+		defer d.diagWG.Done()
+		d.captureDiag(reason)
+	}()
 }
 
 // checkSkewDiag evaluates the skew trigger at most once per debounce
@@ -108,7 +116,12 @@ func (d *Domain) captureDiag(reason string) {
 	}
 	if f, err := os.Create(filepath.Join(dir, "cpu.pprof")); err == nil {
 		if pprof.StartCPUProfile(f) == nil {
-			time.Sleep(time.Duration(diagCPUProfileNs.Load()))
+			t := time.NewTimer(time.Duration(diagCPUProfileNs.Load()))
+			select {
+			case <-t.C:
+			case <-d.diagStop: // Close: stop sampling now
+			}
+			t.Stop()
 			pprof.StopCPUProfile()
 		}
 		f.Close()

@@ -3,7 +3,6 @@ package core
 import (
 	"syscall"
 	"testing"
-	"time"
 
 	"lciot/internal/fault"
 )
@@ -47,10 +46,7 @@ func TestHealthLadder(t *testing.T) {
 	if h, _ := stateOf("bus"); h.State != HealthOK {
 		t.Fatalf("bus health = %+v, want ok", h)
 	}
-	_ = d.Close()
 	// The degradation started an asynchronous diagnostic capture into the
-	// data directory; let it finish before t.TempDir's cleanup removes it.
-	for d.diagInflight.Load() {
-		time.Sleep(time.Millisecond)
-	}
+	// data directory; Close waits it out before t.TempDir's cleanup runs.
+	_ = d.Close()
 }

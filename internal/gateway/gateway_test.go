@@ -48,7 +48,7 @@ func annDeviceCtx() ifc.SecurityContext {
 // holding owner privileges over the tags it mediates.
 func newTestGateway(t *testing.T) (*Gateway, *recorder, *sbus.Bus) {
 	t.Helper()
-	bus := sbus.NewBus("home", openACL(), nil, nil)
+	bus := sbus.NewShardedBus("home", 1, openACL(), nil, nil)
 	gw, err := New(bus, "gw", "hospital", annDeviceCtx(), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestFlushStopsOnForwardError(t *testing.T) {
 }
 
 func TestGatewayRegisterNameCollision(t *testing.T) {
-	bus := sbus.NewBus("b", openACL(), nil, nil)
+	bus := sbus.NewShardedBus("b", 1, openACL(), nil, nil)
 	if _, err := New(bus, "gw", "hospital", annDeviceCtx(), 0); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -104,24 +105,24 @@ type Obligation struct {
 // String renders the obligation back to (normalised) source.
 func (o *Obligation) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "obligation %q on %s {", o.Name, o.Tag)
+	fmt.Fprintf(&b, "obligation %s on %s {", quoteSrc(o.Name), tagSrc(o.Tag))
 	if o.HasRetain {
-		fmt.Fprintf(&b, " retain %s;", o.Retain)
+		fmt.Fprintf(&b, " retain %s;", durSrc(o.Retain))
 	}
 	for _, ev := range o.EraseOn {
-		fmt.Fprintf(&b, " erase on %q;", ev)
+		fmt.Fprintf(&b, " erase on %s;", quoteSrc(ev))
 	}
 	if len(o.Residency) > 0 {
 		b.WriteString(" residency")
 		for _, j := range o.Residency {
-			fmt.Fprintf(&b, " %s", j)
+			b.WriteString(" " + tagSrc(j))
 		}
 		b.WriteString(";")
 	}
 	if len(o.Purpose) > 0 {
 		b.WriteString(" purpose")
 		for _, p := range o.Purpose {
-			fmt.Fprintf(&b, " %s", p)
+			b.WriteString(" " + tagSrc(p))
 		}
 		b.WriteString(";")
 	}
@@ -144,12 +145,7 @@ type Lit struct{ Val ctxmodel.Value }
 func (l *Lit) Eval(*Env) (ctxmodel.Value, error) { return l.Val, nil }
 
 // String implements Expr.
-func (l *Lit) String() string {
-	if l.Val.Kind == ctxmodel.KindString {
-		return fmt.Sprintf("%q", l.Val.Str)
-	}
-	return l.Val.String()
-}
+func (l *Lit) String() string { return valueSrc(l.Val) }
 
 // A Path references environment data: "ctx.<key>" or "event.<field>".
 type Path struct {
@@ -222,9 +218,16 @@ func (b *Binary) Eval(env *Env) (ctxmodel.Value, error) {
 	}
 }
 
-// String implements Expr.
+// String implements Expr. A comparison's operands are primaries in the
+// grammar, so a negated operand keeps its parentheses.
 func (b *Binary) String() string {
-	return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")"
+	operand := func(e Expr) string {
+		if _, neg := e.(*Not); neg && b.Op != "and" && b.Op != "or" {
+			return "(" + e.String() + ")"
+		}
+		return e.String()
+	}
+	return "(" + operand(b.L) + " " + b.Op + " " + operand(b.R) + ")"
 }
 
 // A Not negates a boolean expression.
@@ -265,21 +268,23 @@ type Action interface {
 type AlertAction struct{ Message string }
 
 func (AlertAction) isAction()        {}
-func (a AlertAction) String() string { return fmt.Sprintf("alert %q", a.Message) }
+func (a AlertAction) String() string { return "alert " + quoteSrc(a.Message) }
 
 // ConnectAction instructs the middleware to establish a channel between two
 // components (third-party reconfiguration, Fig. 8).
 type ConnectAction struct{ From, To string }
 
-func (ConnectAction) isAction()        {}
-func (a ConnectAction) String() string { return fmt.Sprintf("connect %q -> %q", a.From, a.To) }
+func (ConnectAction) isAction() {}
+func (a ConnectAction) String() string {
+	return "connect " + quoteSrc(a.From) + " -> " + quoteSrc(a.To)
+}
 
 // DisconnectAction tears a channel down.
 type DisconnectAction struct{ From, To string }
 
 func (DisconnectAction) isAction() {}
 func (a DisconnectAction) String() string {
-	return fmt.Sprintf("disconnect %q -> %q", a.From, a.To)
+	return "disconnect " + quoteSrc(a.From) + " -> " + quoteSrc(a.To)
 }
 
 // SetContextAction changes a component's IFC security context.
@@ -290,7 +295,8 @@ type SetContextAction struct {
 
 func (SetContextAction) isAction() {}
 func (a SetContextAction) String() string {
-	return fmt.Sprintf("setcontext %q %s", a.Target, a.Ctx)
+	return "setcontext " + quoteSrc(a.Target) + " S = " + labelSrc(a.Ctx.Secrecy) +
+		" I = " + labelSrc(a.Ctx.Integrity)
 }
 
 // GrantAction passes IFC privileges to a component.
@@ -299,8 +305,31 @@ type GrantAction struct {
 	Privs  ifc.Privileges
 }
 
-func (GrantAction) isAction()        {}
-func (a GrantAction) String() string { return fmt.Sprintf("grant %q %s", a.Target, a.Privs) }
+func (GrantAction) isAction() {}
+
+// String renders one grant per non-empty privilege label, joined by "; "
+// (the source form names one label per grant), and an empty grant as
+// "add_secrecy {}".
+func (a GrantAction) String() string {
+	var grants []string
+	for _, g := range []struct {
+		op    string
+		label ifc.Label
+	}{
+		{"add_secrecy", a.Privs.AddSecrecy},
+		{"remove_secrecy", a.Privs.RemoveSecrecy},
+		{"add_integrity", a.Privs.AddIntegrity},
+		{"remove_integrity", a.Privs.RemoveIntegrity},
+	} {
+		if !g.label.IsEmpty() {
+			grants = append(grants, "grant "+quoteSrc(a.Target)+" "+g.op+" "+labelSrc(g.label))
+		}
+	}
+	if len(grants) == 0 {
+		return "grant " + quoteSrc(a.Target) + " add_secrecy {}"
+	}
+	return strings.Join(grants, "; ")
+}
 
 // SetCtxAction updates a context attribute (feedback into the context
 // store, e.g. set emergency = true).
@@ -310,14 +339,14 @@ type SetCtxAction struct {
 }
 
 func (SetCtxAction) isAction()        {}
-func (a SetCtxAction) String() string { return fmt.Sprintf("set %s = %s", a.Key, a.Value) }
+func (a SetCtxAction) String() string { return "set " + a.Key + " = " + valueSrc(a.Value) }
 
 // BreakGlassAction opens an audited override window for the given duration;
 // temporary actions executed during the window are reverted at expiry.
 type BreakGlassAction struct{ For time.Duration }
 
 func (BreakGlassAction) isAction()        {}
-func (a BreakGlassAction) String() string { return fmt.Sprintf("breakglass %s", a.For) }
+func (a BreakGlassAction) String() string { return "breakglass " + durSrc(a.For) }
 
 // QuarantineAction isolates a rogue component: the middleware must cease
 // all its interactions (Section 5.2: "preventing a rogue 'thing' from
@@ -325,7 +354,7 @@ func (a BreakGlassAction) String() string { return fmt.Sprintf("breakglass %s", 
 type QuarantineAction struct{ Target string }
 
 func (QuarantineAction) isAction()        {}
-func (a QuarantineAction) String() string { return fmt.Sprintf("quarantine %q", a.Target) }
+func (a QuarantineAction) String() string { return "quarantine " + quoteSrc(a.Target) }
 
 // ActuateAction issues an actuation command to a device (Concern 2), e.g.
 // changing a sensor's sampling interval in an emergency (Fig. 7).
@@ -337,7 +366,7 @@ type ActuateAction struct {
 
 func (ActuateAction) isAction() {}
 func (a ActuateAction) String() string {
-	return fmt.Sprintf("actuate %q %q %g", a.Device, a.Command, a.Value)
+	return "actuate " + quoteSrc(a.Device) + " " + quoteSrc(a.Command) + " " + numSrc(a.Value)
 }
 
 // Env is the evaluation environment: a context snapshot plus the triggering
@@ -386,14 +415,14 @@ func (e *Env) lookup(p *Path) (ctxmodel.Value, error) {
 // String renders a rule back to (normalised) source.
 func (r *Rule) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "rule %q priority %d { on %s", r.Name, r.Priority, r.Trigger.Kind)
+	fmt.Fprintf(&b, "rule %s priority %d { on %s", quoteSrc(r.Name), r.Priority, r.Trigger.Kind)
 	switch r.Trigger.Kind {
 	case TriggerEvent:
-		fmt.Fprintf(&b, " %q", r.Trigger.Pattern)
+		b.WriteString(" " + quoteSrc(r.Trigger.Pattern))
 	case TriggerContext:
-		fmt.Fprintf(&b, " %s", r.Trigger.Key)
+		b.WriteString(" " + r.Trigger.Key)
 	case TriggerTimer:
-		fmt.Fprintf(&b, " %s", r.Trigger.Every)
+		b.WriteString(" " + durSrc(r.Trigger.Every))
 	}
 	if r.When != nil {
 		fmt.Fprintf(&b, " when %s", r.When)
@@ -407,4 +436,62 @@ func (r *Rule) String() string {
 	}
 	b.WriteString(" }")
 	return b.String()
+}
+
+// The String methods above render source that Parse reads back to the
+// same policy; these helpers render the pieces.
+
+// quoteSrc renders s as a string literal. The lexer reads a backslash as
+// "take the next byte literally", so escaping '"' and '\' alone makes
+// every string round-trip byte for byte.
+func quoteSrc(s string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		if s[i] == '"' || s[i] == '\\' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(s[i])
+	}
+	b.WriteByte('"')
+	return b.String()
+}
+
+// tagSrc renders a tag bare when the lexer reads it as one identifier,
+// and quoted otherwise.
+func tagSrc(t ifc.Tag) string {
+	for i := 0; i < len(t); i++ {
+		if !isIdentPart(rune(t[i])) || i == 0 && !isIdentStart(rune(t[i])) {
+			return quoteSrc(string(t))
+		}
+	}
+	return string(t)
+}
+
+// labelSrc renders a label as a tag set, "{a, b}".
+func labelSrc(l ifc.Label) string {
+	tags := l.Tags()
+	out := make([]string, len(tags))
+	for i, t := range tags {
+		out[i] = tagSrc(t)
+	}
+	return "{" + strings.Join(out, ", ") + "}"
+}
+
+// numSrc renders a number in plain decimal: the lexer reads no exponent.
+func numSrc(f float64) string { return strconv.FormatFloat(f, 'f', -1, 64) }
+
+// durSrc renders a duration as time.Duration does, but with the "us"
+// unit the lexer reads in place of "µs".
+func durSrc(d time.Duration) string { return strings.Replace(d.String(), "µs", "us", 1) }
+
+// valueSrc renders a literal value: strings quoted, numbers in decimal.
+func valueSrc(v ctxmodel.Value) string {
+	switch v.Kind {
+	case ctxmodel.KindString:
+		return quoteSrc(v.Str)
+	case ctxmodel.KindNumber:
+		return numSrc(v.Num)
+	}
+	return v.String()
 }

@@ -15,13 +15,23 @@ func TestSetContextActionString(t *testing.T) {
 		Target: "sanitiser",
 		Ctx:    ifc.MustContext([]ifc.Tag{"medical"}, []ifc.Tag{"hosp-dev"}),
 	}
-	want := `setcontext "sanitiser" S={medical} I={hosp-dev}`
+	want := `setcontext "sanitiser" S = {medical} I = {hosp-dev}`
 	if a.String() != want {
 		t.Fatalf("String = %q, want %q", a.String(), want)
 	}
 	g := GrantAction{Target: "t", Privs: ifc.Privileges{RemoveSecrecy: ifc.MustLabel("x")}}
-	if !strings.Contains(g.String(), "S-{x}") {
-		t.Fatalf("grant String = %q", g.String())
+	if want := `grant "t" remove_secrecy {x}`; g.String() != want {
+		t.Fatalf("grant String = %q, want %q", g.String(), want)
+	}
+	s := SetCtxAction{Key: "mode", Value: ctxmodel.String("closed")}
+	if want := `set mode = "closed"`; s.String() != want {
+		t.Fatalf("set String = %q, want %q", s.String(), want)
+	}
+	// Each rendering is source Parse accepts.
+	for _, act := range []Action{a, g, s} {
+		if _, err := Parse(`rule "r" { on event "e" do ` + act.String() + ` }`); err != nil {
+			t.Errorf("re-parse %q: %v", act, err)
+		}
 	}
 }
 

@@ -86,8 +86,7 @@ type routing struct {
 
 // clone copies the snapshot's maps (the referenced components and channels
 // are shared — they are immutable or internally synchronised). Slice
-// values are shared too and copied on first write (see addOwned and
-// friends).
+// values are shared too; applyRoutes copies one before its first write.
 func (r *routing) clone() *routing {
 	next := &routing{
 		components: make(map[string]*Component, len(r.components)+1),
@@ -108,74 +107,6 @@ func (r *routing) clone() *routing {
 		next.byComp[k] = v
 	}
 	return next
-}
-
-// addOwned inserts ch into the shard's channel table and source index. The
-// bySrc slice is copy-on-write: readers may hold the old slice. The caller
-// must have removed any predecessor with the same key first.
-func (r *routing) addOwned(ch *channel) {
-	r.channels[ch.key] = ch
-	old := r.bySrc[ch.key.src]
-	next := make([]*channel, len(old), len(old)+1)
-	copy(next, old)
-	r.bySrc[ch.key.src] = append(next, ch)
-}
-
-// removeOwned deletes the channel with the given key from the channel
-// table and source index, returning it (nil if absent).
-func (r *routing) removeOwned(key channelKey) *channel {
-	ch, ok := r.channels[key]
-	if !ok {
-		return nil
-	}
-	delete(r.channels, key)
-	old := r.bySrc[key.src]
-	next := make([]*channel, 0, len(old))
-	for _, c := range old {
-		if c != ch {
-			next = append(next, c)
-		}
-	}
-	if len(next) == 0 {
-		delete(r.bySrc, key.src)
-	} else {
-		r.bySrc[key.src] = next
-	}
-	return ch
-}
-
-// addByComp appends ch to the named component's re-evaluation index entry
-// (copy-on-write).
-func (r *routing) addByComp(name string, ch *channel) {
-	old := r.byComp[name]
-	next := make([]*channel, len(old), len(old)+1)
-	copy(next, old)
-	r.byComp[name] = append(next, ch)
-}
-
-// removeByComp deletes ch from the named component's re-evaluation entry.
-func (r *routing) removeByComp(name string, ch *channel) {
-	old := r.byComp[name]
-	next := make([]*channel, 0, len(old))
-	for _, c := range old {
-		if c != ch {
-			next = append(next, c)
-		}
-	}
-	if len(next) == 0 {
-		delete(r.byComp, name)
-	} else {
-		r.byComp[name] = next
-	}
-}
-
-// compNames lists the distinct local component names a channel touches.
-func (ch *channel) compNames() []string {
-	src := ch.srcComp.Name()
-	if ch.dstComp != nil && ch.dstComp.Name() != src {
-		return []string{src, ch.dstComp.Name()}
-	}
-	return []string{src}
 }
 
 // A Bus is one messaging substrate instance: the per-machine process that
@@ -232,21 +163,15 @@ type Bus struct {
 	pubHist *telemetry.Histogram
 }
 
-// NewBus builds a single-shard bus. The ACL governs the control plane (who
-// may reconfigure what); the context store supplies snapshots for
-// contextual AC conditions; the audit log receives every enforcement
-// decision. On a single-shard bus every delivery is executed inline on the
-// publisher's goroutine, exactly as before sharding existed.
-func NewBus(name string, acl *ac.ACL, store *ctxmodel.Store, log *audit.Log) *Bus {
-	return NewShardedBus(name, 1, acl, store, log)
-}
-
 // NewShardedBus builds a bus whose routing state and dispatch are
-// partitioned into the given number of shards (clamped to [1, 1024]).
-// Components are assigned to shards by name hash; same-shard deliveries
-// run inline on the publisher's goroutine, cross-shard deliveries hand
-// off to the destination shard's dispatcher. Call Close to stop the
-// dispatchers when the bus is discarded.
+// partitioned into the given number of shards (clamped to [1, 1024]). The
+// ACL governs the control plane (who may reconfigure what); the context
+// store supplies snapshots for contextual AC conditions; the audit log
+// receives every enforcement decision. Components are assigned to shards
+// by name hash; same-shard deliveries run inline on the publisher's
+// goroutine, cross-shard deliveries hand off to the destination shard's
+// dispatcher, so on a single-shard bus every delivery runs inline. Call
+// Close to stop the dispatchers when the bus is discarded.
 func NewShardedBus(name string, shards int, acl *ac.ACL, store *ctxmodel.Store, log *audit.Log) *Bus {
 	if acl == nil {
 		acl = &ac.ACL{}
@@ -375,7 +300,8 @@ func (b *Bus) Register(name string, principal ifc.PrincipalID, ctx ifc.SecurityC
 		c.endpoints[ep.Name] = ep
 	}
 	var dup bool
-	b.mutate1(idx, func(r *routing) bool {
+	b.mutate([]int{idx}, func(rs map[int]*routing) bool {
+		r := rs[idx]
 		if _, dup = r.components[name]; dup {
 			return false
 		}
@@ -488,45 +414,59 @@ func (b *Bus) resolveLocal(addr string, wantDir Direction) (*Component, Endpoint
 //
 // Both success and denial are audited.
 func (b *Bus) Connect(by ifc.PrincipalID, src, dst string) error {
-	srcComp, srcEP, err := b.resolveLocal(src, Source)
+	ch, err := b.police(by, src, dst, b.store.Snapshot(), nil)
 	if err != nil {
 		return err
 	}
-	resource := "channel/" + srcEP.Schema.Name + "/" + src + "/" + dst
-	if err := b.acl.Authorize(by, "connect", resource, b.store.Snapshot()); err != nil {
-		b.auditDenied(srcComp.entity.ID(), ifc.EntityID(dst), srcComp.Context(),
-			ifc.SecurityContext{}, by, "", "connect denied by AC: "+err.Error())
-		return err
+	if ch.remoteBus != "" {
+		return b.connectRemote(by, ch)
 	}
-	if srcComp.Quarantined() {
-		return fmt.Errorf("%w: %q", ErrQuarantined, srcComp.Name())
-	}
-
-	remoteBus, rest := splitRemoteAddr(dst)
-	if remoteBus != "" && remoteBus != b.name {
-		return b.connectRemote(by, srcComp, srcEP, src, remoteBus, rest)
-	}
-
-	ch, err := b.buildLocalChannel(by, srcComp, srcEP, src, rest)
-	if err != nil {
-		return err
-	}
-	b.installChannel(ch)
+	b.applyRoutes([]routeEdit{{ch: ch}})
 
 	b.log.Append(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
-		Src: srcComp.entity.ID(), Dst: ch.dstComp.entity.ID(),
-		SrcCtx: srcComp.Context(), DstCtx: ch.dstComp.Context(),
+		Src: ch.srcComp.entity.ID(), Dst: ch.dstComp.entity.ID(),
+		SrcCtx: ch.srcComp.Context(), DstCtx: ch.dstComp.Context(),
 		Agent: by, Note: "channel established",
 	})
 	return nil
 }
 
-// buildLocalChannel resolves and polices one local channel (schema
-// compatibility, quarantine, IFC) and returns it stamped and ready to
-// install. Shared by Connect and ConnectMany.
-func (b *Bus) buildLocalChannel(by ifc.PrincipalID, srcComp *Component, srcEP EndpointSpec,
-	src, rest string) (*channel, error) {
+// police resolves and polices one channel request from principal "by" —
+// AC, source and sink quarantine, schema compatibility, IFC — and returns
+// the channel stamped and ready to install. AC decisions are evaluated
+// against snap and, when authorized is non-nil, memoized in it across a
+// batch. A remote sink is only resolved to its bus and address: the peer
+// bus performs the authoritative sink-side checks (see connectRemote).
+// Connect and ConnectMany share it, so both police a pair identically.
+func (b *Bus) police(by ifc.PrincipalID, src, dst string, snap ctxmodel.Snapshot,
+	authorized map[string]bool) (*channel, error) {
+	srcComp, srcEP, err := b.resolveLocal(src, Source)
+	if err != nil {
+		return nil, err
+	}
+	resource := "channel/" + srcEP.Schema.Name + "/" + src + "/" + dst
+	if !authorized[resource] {
+		if err := b.acl.Authorize(by, "connect", resource, snap); err != nil {
+			b.auditDenied(srcComp.entity.ID(), ifc.EntityID(dst), srcComp.Context(),
+				ifc.SecurityContext{}, by, "", "connect denied by AC: "+err.Error())
+			return nil, err
+		}
+		if authorized != nil {
+			authorized[resource] = true
+		}
+	}
+	if srcComp.Quarantined() {
+		return nil, fmt.Errorf("%w: %q", ErrQuarantined, srcComp.Name())
+	}
+
+	remoteBus, rest := splitRemoteAddr(dst)
+	if remoteBus != "" && remoteBus != b.name {
+		return &channel{
+			key: channelKey{src: src, dst: dst}, srcComp: srcComp, srcEP: srcEP, agent: by,
+			remoteBus: remoteBus, remoteDst: rest,
+		}, nil
+	}
 	dstComp, dstEP, err := b.resolveLocal(rest, Sink)
 	if err != nil {
 		return nil, err
@@ -568,137 +508,37 @@ func (b *Bus) buildLocalChannel(by ifc.PrincipalID, srcComp *Component, srcEP En
 // channels clone each shard's index once, not a million times). Every
 // pair is individually policed exactly as Connect polices it (AC, schema,
 // IFC, quarantine); the first failure aborts the whole batch before any
-// routing state changes. One summary audit record is appended per batch.
+// routing state changes. A key that repeats in the batch is established
+// once, by its last pair, as repeated Connect would leave it. One summary
+// audit record is appended per batch.
 //
-// The batch holds every touched shard's write lock while it retires
-// replaced channels and installs the new ones, so it serialises against
-// concurrent Connect/Disconnect on overlapping keys exactly like
-// repeated Connect would. Lock-free readers may still briefly observe
-// one shard's new snapshot alongside another's old one (snapshots swap
-// per shard). Remote destinations are not supported here.
+// The batch is one applyRoutes call, so it serialises against concurrent
+// Connect/Disconnect on overlapping keys exactly like repeated Connect
+// would. Lock-free readers may still briefly observe one shard's new
+// snapshot alongside another's old one (snapshots swap per shard). Remote
+// destinations are not supported here.
 func (b *Bus) ConnectMany(by ifc.PrincipalID, pairs [][2]string) error {
 	if len(pairs) == 0 {
 		return nil
 	}
 	snap := b.store.Snapshot()
-	chans := make([]*channel, 0, len(pairs))
+	edits := make([]routeEdit, len(pairs))
 	authorized := make(map[string]bool, 64)
-	for _, p := range pairs {
-		src, dst := p[0], p[1]
-		srcComp, srcEP, err := b.resolveLocal(src, Source)
+	for i, p := range pairs {
+		ch, err := b.police(by, p[0], p[1], snap, authorized)
 		if err != nil {
 			return err
 		}
-		resource := "channel/" + srcEP.Schema.Name + "/" + src + "/" + dst
-		if !authorized[resource] {
-			if err := b.acl.Authorize(by, "connect", resource, snap); err != nil {
-				b.auditDenied(srcComp.entity.ID(), ifc.EntityID(dst), srcComp.Context(),
-					ifc.SecurityContext{}, by, "", "connect denied by AC: "+err.Error())
-				return err
-			}
-			authorized[resource] = true
+		if ch.remoteBus != "" {
+			return fmt.Errorf("sbus: ConnectMany: remote destination %q not supported", p[1])
 		}
-		if srcComp.Quarantined() {
-			return fmt.Errorf("%w: %q", ErrQuarantined, srcComp.Name())
-		}
-		if remote, _ := splitRemoteAddr(dst); remote != "" && remote != b.name {
-			return fmt.Errorf("sbus: ConnectMany: remote destination %q not supported", dst)
-		}
-		_, rest := splitRemoteAddr(dst)
-		ch, err := b.buildLocalChannel(by, srcComp, srcEP, src, rest)
-		if err != nil {
-			return err
-		}
-		chans = append(chans, ch)
+		edits[i].ch = ch
 	}
-
-	// Dedup by key (last wins, like repeated Connect).
-	byKey := make(map[channelKey]*channel, len(chans))
-	ordered := chans[:0]
-	for _, ch := range chans {
-		if _, dup := byKey[ch.key]; !dup {
-			ordered = append(ordered, ch)
-		}
-		byKey[ch.key] = ch
-	}
-
-	// Group the owned-index work by source shard and the byComp work by
-	// each touched component's home shard: each touched slice is copied
-	// once per batch, then extended in place.
-	ownedByShard := make(map[int][]*channel)
-	compByShard := make(map[int]map[string][]*channel)
-	for _, ch := range ordered {
-		ch := byKey[ch.key]
-		i, j, _, _ := b.channelShards(ch.key)
-		ch.srcShard, ch.dstShard = i, j
-		ownedByShard[i] = append(ownedByShard[i], ch)
-		for _, name := range ch.compNames() {
-			home := b.shardIdx(name)
-			m := compByShard[home]
-			if m == nil {
-				m = make(map[string][]*channel)
-				compByShard[home] = m
-			}
-			m[name] = append(m[name], ch)
-		}
-	}
-	idxs := make(map[int]bool, len(b.shards))
-	for i := range ownedByShard {
-		idxs[i] = true
-	}
-	for i := range compByShard {
-		idxs[i] = true
-	}
-	order := make([]int, 0, len(idxs))
-	for i := range idxs {
-		order = append(order, i)
-	}
-	sort.Ints(order)
-
-	// Retire predecessors and bulk-install inside ONE critical section
-	// spanning every touched shard. A predecessor shares its key — and
-	// therefore its shards — with its replacement, so its indexes are all
-	// under these locks; doing both halves under them means a concurrent
-	// Connect on an overlapping key either completes before the batch (its
-	// channel is retired here) or after it (retiring the batch's channel),
-	// never interleaving in a way that strands a live bySrc entry.
-	b.mutateN(order, func(rs map[int]*routing) bool {
-		for _, ch := range ordered {
-			ch := byKey[ch.key]
-			if old := rs[ch.srcShard].removeOwned(ch.key); old != nil {
-				for _, name := range old.compNames() {
-					rs[b.shardIdx(name)].removeByComp(name, old)
-				}
-			}
-		}
-		for i, adds := range ownedByShard {
-			r := rs[i]
-			grownSrc := make(map[string][]*channel)
-			for _, ch := range adds {
-				r.channels[ch.key] = ch
-				s, ok := grownSrc[ch.key.src]
-				if !ok {
-					s = append(make([]*channel, 0, len(r.bySrc[ch.key.src])+4), r.bySrc[ch.key.src]...)
-				}
-				grownSrc[ch.key.src] = append(s, ch)
-			}
-			for k, s := range grownSrc {
-				r.bySrc[k] = s
-			}
-		}
-		for i, comps := range compByShard {
-			r := rs[i]
-			for name, chs := range comps {
-				s := append(make([]*channel, 0, len(r.byComp[name])+len(chs)), r.byComp[name]...)
-				r.byComp[name] = append(s, chs...)
-			}
-		}
-		return true
-	})
+	b.applyRoutes(edits)
 
 	b.log.Append(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
-		Agent: by, Note: fmt.Sprintf("bulk channel establishment: %d channels", len(chans)),
+		Agent: by, Note: fmt.Sprintf("bulk channel establishment: %d channels", len(pairs)),
 	})
 	return nil
 }
@@ -708,12 +548,11 @@ func (b *Bus) Disconnect(by ifc.PrincipalID, src, dst string) error {
 	if err := b.acl.Authorize(by, "disconnect", "channel/*/"+src+"/"+dst, b.store.Snapshot()); err != nil {
 		return err
 	}
-	_, rest := splitRemoteAddr(dst)
-	key := channelKey{src: src, dst: rest}
-	if remote, _ := splitRemoteAddr(dst); remote != "" && remote != b.name {
-		key.dst = dst
+	key := channelKey{src: src, dst: dst}
+	if remote, rest := splitRemoteAddr(dst); remote == "" || remote == b.name {
+		key.dst = rest
 	}
-	if !b.uninstallChannel(key, nil) {
+	if len(b.applyRoutes([]routeEdit{{key: key}})) == 0 {
 		return fmt.Errorf("%w: %s -> %s", ErrNoChannel, src, dst)
 	}
 	b.log.Append(audit.Record{
@@ -921,12 +760,16 @@ func (b *Bus) reevaluate(component string) {
 			torn = append(torn, ch)
 		}
 	}
-	for _, ch := range torn {
-		// Identity-checked removal: never tear down a replacement channel
-		// connected after this scan condemned the old one.
-		if !b.uninstallChannel(ch.key, ch) {
-			continue
-		}
+	if len(torn) == 0 {
+		return
+	}
+	// Identity-checked removal: never tear down a replacement channel
+	// connected after this scan condemned the old one.
+	edits := make([]routeEdit, len(torn))
+	for i, ch := range torn {
+		edits[i] = routeEdit{key: ch.key, expect: ch}
+	}
+	for _, ch := range b.applyRoutes(edits) {
 		b.log.Append(audit.Record{
 			Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 			Src: ifc.EntityID(b.name + ":" + ch.key.src), Dst: ifc.EntityID(ch.key.dst),

@@ -88,7 +88,7 @@ func vitalsMessage(patient string, hr float64) *msg.Message {
 // analyser registered.
 func newHomeBus(t *testing.T) (*Bus, *sinkRecorder) {
 	t.Helper()
-	bus := NewBus("hospital-bus", openACL(), nil, nil)
+	bus := NewShardedBus("hospital-bus", 1, openACL(), nil, nil)
 	rec := &sinkRecorder{}
 	if _, err := bus.Register("ann-device", "hospital", annCtx(), nil,
 		EndpointSpec{Name: "out", Dir: Source, Schema: vitalsSchema()}); err != nil {
@@ -106,7 +106,7 @@ func newHomeBus(t *testing.T) (*Bus, *sinkRecorder) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	bus := NewBus("b", nil, nil, nil)
+	bus := NewShardedBus("b", 1, nil, nil, nil)
 	if _, err := bus.Register("", "p", ifc.SecurityContext{}, nil); err == nil {
 		t.Fatal("empty name accepted")
 	}
@@ -211,7 +211,7 @@ func TestConnectSchemaMismatch(t *testing.T) {
 }
 
 func TestConnectDeniedByAC(t *testing.T) {
-	bus := NewBus("b", restrictedACL(), nil, nil)
+	bus := NewShardedBus("b", 1, restrictedACL(), nil, nil)
 	rec := &sinkRecorder{}
 	if _, err := bus.Register("src", "mallory", ifc.SecurityContext{}, nil,
 		EndpointSpec{Name: "out", Dir: Source, Schema: vitalsSchema()}); err != nil {
@@ -406,7 +406,7 @@ func TestFig8ThirdPartyReconfiguration(t *testing.T) {
 	}
 
 	// An unauthorised principal cannot reconfigure.
-	busR := NewBus("b2", restrictedACL(), nil, nil)
+	busR := NewShardedBus("b2", 1, restrictedACL(), nil, nil)
 	if _, err := busR.Register("s", "hospital", ifc.SecurityContext{}, nil,
 		EndpointSpec{Name: "out", Dir: Source, Schema: vitalsSchema()}); err != nil {
 		t.Fatal(err)
@@ -470,7 +470,7 @@ func TestFig10MessageLayerTags(t *testing.T) {
 		msg.Field{Name: "name", Type: msg.TString, Secrecy: ifc.MustLabel("C")},
 		msg.Field{Name: "country", Type: msg.TString},
 	)
-	bus := NewBus("b", openACL(), nil, nil)
+	bus := NewShardedBus("b", 1, openACL(), nil, nil)
 	if _, err := bus.Register("app", "hospital", ifc.SecurityContext{}, nil,
 		EndpointSpec{Name: "out", Dir: Source, Schema: person}); err != nil {
 		t.Fatal(err)

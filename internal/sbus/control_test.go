@@ -10,7 +10,7 @@ import (
 )
 
 func TestBusAccessors(t *testing.T) {
-	bus := NewBus("accessors", openACL(), nil, nil)
+	bus := NewShardedBus("accessors", 1, openACL(), nil, nil)
 	if bus.Name() != "accessors" {
 		t.Fatalf("Name = %q", bus.Name())
 	}
@@ -76,7 +76,7 @@ func TestControlQuarantineRelease(t *testing.T) {
 }
 
 func TestControlGrantDeniedByAC(t *testing.T) {
-	bus := NewBus("b", restrictedACL(), nil, nil)
+	bus := NewShardedBus("b", 1, restrictedACL(), nil, nil)
 	if _, err := bus.Register("c", "hospital", ifc.SecurityContext{}, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestControlGrantDeniedByAC(t *testing.T) {
 
 func TestLinkToFailures(t *testing.T) {
 	net := transport.NewMemNetwork()
-	bus := NewBus("b", openACL(), nil, nil)
+	bus := NewShardedBus("b", 1, openACL(), nil, nil)
 	// No listener.
 	if _, err := bus.LinkTo(net, "nowhere"); err == nil {
 		t.Fatal("link to nowhere succeeded")
@@ -123,7 +123,7 @@ func TestLinkToFailures(t *testing.T) {
 
 func TestServeLinkBadHello(t *testing.T) {
 	net := transport.NewMemNetwork()
-	bus := NewBus("b", openACL(), nil, nil)
+	bus := NewShardedBus("b", 1, openACL(), nil, nil)
 	l, err := net.Listen("bus")
 	if err != nil {
 		t.Fatal(err)
@@ -157,9 +157,9 @@ func TestServeLinkBadHello(t *testing.T) {
 
 func TestLinkReconnectOnConnectionClose(t *testing.T) {
 	net := transport.NewMemNetwork()
-	a := NewBus("a", openACL(), nil, nil)
+	a := NewShardedBus("a", 1, openACL(), nil, nil)
 	a.SetLinkConfig(LinkConfig{BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond})
-	b := NewBus("b", openACL(), nil, nil)
+	b := NewShardedBus("b", 1, openACL(), nil, nil)
 	l, err := net.Listen("b")
 	if err != nil {
 		t.Fatal(err)
@@ -187,13 +187,13 @@ func TestLinkReconnectOnConnectionClose(t *testing.T) {
 
 func TestSendRemoteWithLinkDown(t *testing.T) {
 	net := transport.NewMemNetwork()
-	home := NewBus("home-bus", openACL(), nil, nil)
+	home := NewShardedBus("home-bus", 1, openACL(), nil, nil)
 	// A tiny retry budget so the link gives up quickly once the peer is
 	// unreachable for good.
 	home.SetLinkConfig(LinkConfig{
 		RetryBudget: 2, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
 	})
-	cloud := NewBus("cloud-bus", openACL(), nil, nil)
+	cloud := NewShardedBus("cloud-bus", 1, openACL(), nil, nil)
 	listener, err := net.Listen("cloud-addr")
 	if err != nil {
 		t.Fatal(err)

@@ -25,16 +25,23 @@
 //
 // # Sharded core
 //
-// The bus partitions its routing state into N shards (NewShardedBus;
-// NewBus is the single-shard special case). A component's home shard is a
-// pure function of its name (FNV-1a hash), so placement is deterministic
-// and discoverable via Bus.ShardOf before registration. Each shard owns:
+// The bus partitions its routing state into N shards (NewShardedBus; a
+// single-shard bus is NewShardedBus with N = 1). A component's home shard
+// is a pure function of its name (FNV-1a hash), so placement is
+// deterministic and discoverable via Bus.ShardOf before registration.
+// Each shard owns:
 //
 //   - an independent copy-on-write routing snapshot (components, channels
 //     keyed by owning source, by-component channel index), read lock-free
 //     by the hot path and cloned under the shard's own mutex by mutations;
 //   - a bounded handoff ring and a dispatcher goroutine (started only when
 //     N > 1) that delivers messages whose sink lives on that shard.
+//
+// Every channel change — Connect, ConnectMany, Disconnect, re-evaluation
+// teardown, link resume refusal — is one applyRoutes call: one critical
+// section over every shard the edits touch, locked in ascending index
+// order, so concurrent changes never deadlock and never interleave on a
+// key.
 //
 // A channel is owned by its source's shard. Deliveries whose sink shares
 // the source's shard run inline in the publisher's goroutine, exactly as

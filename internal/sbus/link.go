@@ -909,7 +909,7 @@ func (l *link) replayEgress(conn transport.Conn) int {
 				if ok && !resp.OK {
 					// The peer's current state refuses this channel: keeping
 					// it routed would silently drop every message.
-					if b.uninstallChannel(w.key, nil) {
+					if len(b.applyRoutes([]routeEdit{{key: w.key}})) > 0 {
 						b.log.Append(audit.Record{
 							Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 							Src: ifc.EntityID(b.name + ":" + w.key.src), Dst: ifc.EntityID(w.key.dst),
@@ -955,42 +955,37 @@ func (b *Bus) checkEgressResidency(l *link, src ifc.EntityID, ctx ifc.SecurityCo
 // connectRemote establishes a channel whose sink lives on a peer bus. The
 // remote bus performs the authoritative ingress checks and replies; the
 // local bus enforces residency before the request even leaves.
-func (b *Bus) connectRemote(by ifc.PrincipalID, srcComp *Component, srcEP EndpointSpec,
-	src, remoteBus, remoteDst string) error {
-	l, err := b.linkFor(remoteBus)
+// ch is the policed, not yet installed, channel police built for it.
+func (b *Bus) connectRemote(by ifc.PrincipalID, ch *channel) error {
+	l, err := b.linkFor(ch.remoteBus)
 	if err != nil {
 		return err
 	}
-	ctx := srcComp.Context()
-	if err := b.checkEgressResidency(l, srcComp.entity.ID(), ctx, by, ""); err != nil {
+	ctx := ch.srcComp.Context()
+	if err := b.checkEgressResidency(l, ch.srcComp.entity.ID(), ctx, by, ""); err != nil {
 		return err
 	}
 	resp, err := l.request(LinkFrame{
 		Kind:            "connect",
-		Src:             b.name + ":" + src,
-		Dst:             remoteDst,
+		Src:             b.name + ":" + ch.key.src,
+		Dst:             ch.remoteDst,
 		SrcSecrecy:      ctx.Secrecy,
 		SrcIntegrity:    ctx.Integrity,
 		SrcJurisdiction: ctx.Jurisdiction,
 		SrcPurpose:      ctx.Purpose,
-		Schema:          srcEP.Schema.Name,
+		Schema:          ch.srcEP.Schema.Name,
 		Agent:           by,
 	})
 	if err != nil {
 		return err
 	}
 	if !resp.OK {
-		return fmt.Errorf("sbus: remote bus %q refused connect: %s", remoteBus, resp.Err)
+		return fmt.Errorf("sbus: remote bus %q refused connect: %s", ch.remoteBus, resp.Err)
 	}
-	key := channelKey{src: src, dst: remoteBus + ":" + remoteDst}
-	ch := &channel{
-		key: key, srcComp: srcComp, srcEP: srcEP, agent: by,
-		remoteBus: remoteBus, remoteDst: remoteDst,
-	}
-	b.installChannel(ch)
+	b.applyRoutes([]routeEdit{{ch: ch}})
 	b.log.Append(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
-		Src: srcComp.entity.ID(), Dst: ifc.EntityID(remoteBus + ":" + remoteDst),
+		Src: ch.srcComp.entity.ID(), Dst: ifc.EntityID(ch.key.dst),
 		SrcCtx: ctx, Agent: by, Note: "cross-bus channel established",
 	})
 	return nil

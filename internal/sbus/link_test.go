@@ -18,8 +18,8 @@ func linkedBuses(t *testing.T) (home, cloud *Bus, rec *sinkRecorder) {
 	t.Helper()
 	net := transport.NewMemNetwork()
 
-	home = NewBus("home-bus", openACL(), nil, nil)
-	cloud = NewBus("cloud-bus", openACL(), nil, nil)
+	home = NewShardedBus("home-bus", 1, openACL(), nil, nil)
+	cloud = NewShardedBus("cloud-bus", 1, openACL(), nil, nil)
 
 	listener, err := net.Listen("cloud-addr")
 	if err != nil {
@@ -105,7 +105,7 @@ func TestServeLinkRefusesOldVersionHello(t *testing.T) {
 	v3Hello := append([]byte{linkMagic, 3, 0, 1}, frame[:len(frame)-trailerLen]...)
 
 	net := transport.NewMemNetwork()
-	cloud := NewBus("cloud-bus", openACL(), nil, nil)
+	cloud := NewShardedBus("cloud-bus", 1, openACL(), nil, nil)
 	listener, err := net.Listen("cloud-addr")
 	if err != nil {
 		t.Fatal(err)
@@ -269,8 +269,8 @@ func TestLinkListing(t *testing.T) {
 
 func TestCrossBusQuench(t *testing.T) {
 	net := transport.NewMemNetwork()
-	home := NewBus("home-bus", openACL(), nil, nil)
-	cloud := NewBus("cloud-bus", openACL(), nil, nil)
+	home := NewShardedBus("home-bus", 1, openACL(), nil, nil)
+	cloud := NewShardedBus("cloud-bus", 1, openACL(), nil, nil)
 	listener, err := net.Listen("cloud")
 	if err != nil {
 		t.Fatal(err)

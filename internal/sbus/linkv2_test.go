@@ -28,9 +28,9 @@ func fastLinkConfig() LinkConfig {
 func fedPair(t *testing.T, cfg LinkConfig) (net *transport.MemNetwork, home, cloud *Bus, rec *sinkRecorder) {
 	t.Helper()
 	net = transport.NewMemNetwork()
-	home = NewBus("home-bus", openACL(), nil, nil)
+	home = NewShardedBus("home-bus", 1, openACL(), nil, nil)
 	home.SetLinkConfig(cfg)
-	cloud = NewBus("cloud-bus", openACL(), nil, nil)
+	cloud = NewShardedBus("cloud-bus", 1, openACL(), nil, nil)
 	cloud.SetLinkConfig(cfg)
 
 	listener, err := net.Listen("cloud-addr")

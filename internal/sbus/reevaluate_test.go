@@ -130,7 +130,7 @@ func testReevaluateIndexedMatchesBruteForce(t *testing.T, shards int) {
 // stamp — spectator channels keep their original stamp pointer identity.
 func TestReevaluateSkipsUnaffectedChannels(t *testing.T) {
 	schema := msg.MustSchema("m", ifc.EmptyLabel, msg.Field{Name: "v", Type: msg.TFloat})
-	bus := NewBus("bench", permissiveACL(), nil, nil)
+	bus := NewShardedBus("bench", 1, permissiveACL(), nil, nil)
 	ctxA := ifc.MustContext([]ifc.Tag{"a"}, nil)
 	ctxAB := ifc.MustContext([]ifc.Tag{"a", "b"}, nil)
 
@@ -181,7 +181,7 @@ func TestReevaluateSkipsUnaffectedChannels(t *testing.T) {
 // their stamps.
 func TestReevaluateNoOpContextChangeSkipsChecks(t *testing.T) {
 	schema := msg.MustSchema("m", ifc.EmptyLabel, msg.Field{Name: "v", Type: msg.TFloat})
-	bus := NewBus("bench", permissiveACL(), nil, nil)
+	bus := NewShardedBus("bench", 1, permissiveACL(), nil, nil)
 	ctxA := ifc.MustContext([]ifc.Tag{"a"}, nil)
 	src, err := bus.Register("src", "p", ctxA, nil,
 		EndpointSpec{Name: "out", Dir: Source, Schema: schema})

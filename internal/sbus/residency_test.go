@@ -21,10 +21,10 @@ func euCtx() ifc.SecurityContext {
 func residencyPair(t *testing.T, cloudJur ifc.Label) (home, cloud *Bus, rec *sinkRecorder) {
 	t.Helper()
 	net := transport.NewMemNetwork()
-	home = NewBus("home-bus", openACL(), nil, nil)
+	home = NewShardedBus("home-bus", 1, openACL(), nil, nil)
 	home.SetLinkConfig(fastLinkConfig())
 	home.SetJurisdiction(ifc.MustLabel("eu"))
-	cloud = NewBus("cloud-bus", openACL(), nil, nil)
+	cloud = NewShardedBus("cloud-bus", 1, openACL(), nil, nil)
 	cloud.SetLinkConfig(fastLinkConfig())
 	cloud.SetJurisdiction(cloudJur)
 

@@ -231,71 +231,29 @@ func (b *Bus) Close() {
 	})
 }
 
-// mutate1 clones shard i's snapshot, applies fn, and publishes the result
-// if fn reports success — the single-shard copy-on-write step.
-func (b *Bus) mutate1(i int, fn func(r *routing) bool) bool {
-	sh := b.shards[i]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	next := sh.routing.Load().clone()
-	if !fn(next) {
-		return false
-	}
-	sh.routing.Store(next)
-	return true
-}
-
-// mutate2 locks shards i and j (possibly equal) in index order, clones
-// both snapshots, applies fn, and publishes the clones fn mutated if it
-// reports success. When i == j, ri and rj are the same clone. Locking in
-// index order makes concurrent two-shard mutations deadlock-free.
-func (b *Bus) mutate2(i, j int, fn func(ri, rj *routing) bool) bool {
-	if i == j {
-		return b.mutate1(i, func(r *routing) bool { return fn(r, r) })
-	}
-	lo, hi := i, j
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	b.shards[lo].mu.Lock()
-	defer b.shards[lo].mu.Unlock()
-	b.shards[hi].mu.Lock()
-	defer b.shards[hi].mu.Unlock()
-	ri := b.shards[i].routing.Load().clone()
-	rj := b.shards[j].routing.Load().clone()
-	if !fn(ri, rj) {
-		return false
-	}
-	b.shards[i].routing.Store(ri)
-	b.shards[j].routing.Store(rj)
-	return true
-}
-
-// mutateN locks every shard in idxs (which must be sorted ascending and
-// duplicate-free — the same ascending order mutate1/mutate2 use, keeping
-// all three deadlock-free against each other), clones each snapshot,
-// applies fn to the clones, and publishes them all if fn reports success.
-// Bulk operations use it when retire-and-replace of many keys must be
-// atomic with respect to concurrent single-channel mutations on the same
-// keys.
-func (b *Bus) mutateN(idxs []int, fn func(rs map[int]*routing) bool) bool {
+// mutate locks every shard in idxs (any order, duplicates allowed) in
+// ascending index order, clones each one's snapshot, applies fn to the
+// clones, and publishes them all if fn reports a change. Every routing
+// mutation goes through here, and the one lock order keeps concurrent
+// mutations over overlapping shard sets deadlock-free.
+func (b *Bus) mutate(idxs []int, fn func(rs map[int]*routing) bool) bool {
+	touched := make([]bool, len(b.shards))
 	for _, i := range idxs {
-		b.shards[i].mu.Lock()
+		touched[i] = true
 	}
-	defer func() {
-		for _, i := range idxs {
-			b.shards[i].mu.Unlock()
+	rs := make(map[int]*routing, 2)
+	for i, t := range touched {
+		if t {
+			b.shards[i].mu.Lock()
+			defer b.shards[i].mu.Unlock()
+			rs[i] = b.shards[i].routing.Load().clone()
 		}
-	}()
-	rs := make(map[int]*routing, len(idxs))
-	for _, i := range idxs {
-		rs[i] = b.shards[i].routing.Load().clone()
 	}
 	if !fn(rs) {
 		return false
 	}
-	for _, i := range idxs {
-		b.shards[i].routing.Store(rs[i])
+	for i, r := range rs {
+		b.shards[i].routing.Store(r)
 	}
 	return true
 }
@@ -304,65 +262,134 @@ func (b *Bus) mutateN(idxs []int, fn func(rs map[int]*routing) bool) bool {
 // source component's home shard (which owns the channel) and, for local
 // sinks, the destination component's home shard (which indexes it for
 // re-evaluation). For remote sinks j == i.
-func (b *Bus) channelShards(key channelKey) (i, j int, srcName, dstName string) {
-	srcName, _, _ = splitEndpointAddr(key.src)
+func (b *Bus) channelShards(key channelKey) (i, j int) {
+	srcName, _, _ := splitEndpointAddr(key.src)
 	i = b.shardIdx(srcName)
 	j = i
 	if remote, rest := splitRemoteAddr(key.dst); remote == "" {
-		dstName, _, _ = splitEndpointAddr(rest)
+		dstName, _, _ := splitEndpointAddr(rest)
 		j = b.shardIdx(dstName)
 	}
-	return i, j, srcName, dstName
+	return i, j
 }
 
-// installChannel publishes ch into the owning shard's channel table and
-// source index and into the byComp index of every touched component's
-// home shard, atomically replacing any predecessor with the same key.
-// Both shards' snapshots swap while both locks are held, so readers never
-// see the channel in one index but not the other.
-func (b *Bus) installChannel(ch *channel) {
-	i, j, srcName, dstName := b.channelShards(ch.key)
-	ch.srcShard, ch.dstShard = i, j
-	b.mutate2(i, j, func(ri, rj *routing) bool {
-		if old := ri.removeOwned(ch.key); old != nil {
-			ri.removeByComp(srcName, old)
-			if dstName != "" && dstName != srcName {
-				rj.removeByComp(dstName, old)
+// A routeEdit is one channel change for applyRoutes. With ch set it
+// installs ch, replacing any channel routed under the same key; otherwise
+// it removes the channel routed under key — and, when expect is set, only
+// if that is still expect.
+type routeEdit struct {
+	key    channelKey
+	ch     *channel
+	expect *channel
+}
+
+// applyRoutes applies edits in order inside one critical section over
+// every shard they touch (see mutate) and returns the channels its
+// removal edits took out. Each channel lives in up to four indexes —
+// the owning shard's channels and bySrc, and byComp on its source's and
+// local sink's home shards — and a channel's key fixes all of those
+// shards, so an edit and the predecessor it replaces fall under the same
+// locks: a concurrent edit of the same key lands wholly before or wholly
+// after this call, and readers never see a channel in one index but not
+// another.
+func (b *Bus) applyRoutes(edits []routeEdit) (removed []*channel) {
+	owner := make([]int, len(edits))
+	idxs := make([]int, 0, 2*len(edits))
+	for n := range edits {
+		e := &edits[n]
+		if e.ch != nil {
+			e.key = e.ch.key
+		}
+		i, j := b.channelShards(e.key)
+		if e.ch != nil {
+			e.ch.srcShard, e.ch.dstShard = i, j
+		}
+		owner[n] = i
+		idxs = append(idxs, i, j)
+	}
+	b.mutate(idxs, func(rs map[int]*routing) bool {
+		w := routeWriter{rs: rs, fresh: make(map[sliceRef]bool)}
+		changed := false
+		for n, e := range edits {
+			old := rs[owner[n]].channels[e.key]
+			if e.ch == nil && (old == nil || e.expect != nil && old != e.expect) {
+				continue
 			}
+			if old != nil {
+				w.index(old, false)
+				if e.ch == nil {
+					removed = append(removed, old)
+				}
+			}
+			if e.ch != nil {
+				w.index(e.ch, true)
+			}
+			changed = true
 		}
-		ri.addOwned(ch)
-		ri.addByComp(srcName, ch)
-		if dstName != "" && dstName != srcName {
-			rj.addByComp(dstName, ch)
-		}
-		return true
-	})
-}
-
-// uninstallChannel removes the channel with the given key from every
-// index, reporting whether it existed. When expect is non-nil the removal
-// only proceeds if the routed channel is still that exact channel —
-// re-evaluation uses this so it can condemn a channel outside the shard
-// lock without tearing down a replacement connected in the interim.
-func (b *Bus) uninstallChannel(key channelKey, expect *channel) bool {
-	i, j, srcName, dstName := b.channelShards(key)
-	removed := false
-	b.mutate2(i, j, func(ri, rj *routing) bool {
-		if expect != nil && ri.channels[key] != expect {
-			return false
-		}
-		old := ri.removeOwned(key)
-		if old == nil {
-			return false
-		}
-		ri.removeByComp(srcName, old)
-		if dstName != "" && dstName != srcName {
-			rj.removeByComp(dstName, old)
-		}
-		removed = true
-		return true
+		return changed
 	})
 	return removed
+}
+
+// A routeWriter edits the clones one applyRoutes call holds. Index
+// slices in a clone are still shared with the published snapshot that
+// lock-free readers hold, so the writer copies each slice the first time
+// the call touches it and records it in fresh; the copy is private until
+// publication, so later edits in the same call grow or filter it in
+// place — n channels added to one entry in a batch cost one copy, not n.
+type routeWriter struct {
+	rs    map[int]*routing
+	fresh map[sliceRef]bool
+}
+
+// A sliceRef names one index slice: bySrc or byComp on one shard.
+type sliceRef struct {
+	shard  int
+	byComp bool
+	name   string
+}
+
+// index adds ch to (add) or removes it from every index it belongs in.
+func (w *routeWriter) index(ch *channel, add bool) {
+	if add {
+		w.rs[ch.srcShard].channels[ch.key] = ch
+	} else {
+		delete(w.rs[ch.srcShard].channels, ch.key)
+	}
+	w.edit(sliceRef{ch.srcShard, false, ch.key.src}, ch, add)
+	w.edit(sliceRef{ch.srcShard, true, ch.srcComp.Name()}, ch, add)
+	if ch.dstComp != nil && ch.dstComp != ch.srcComp {
+		w.edit(sliceRef{ch.dstShard, true, ch.dstComp.Name()}, ch, add)
+	}
+}
+
+// edit appends ch to, or filters it out of, the slice ref names.
+func (w *routeWriter) edit(ref sliceRef, ch *channel, add bool) {
+	idx := w.rs[ref.shard].bySrc
+	if ref.byComp {
+		idx = w.rs[ref.shard].byComp
+	}
+	s := idx[ref.name]
+	if !w.fresh[ref] {
+		w.fresh[ref] = true
+		s = append(make([]*channel, 0, len(s)+1), s...)
+	}
+	if add {
+		idx[ref.name] = append(s, ch)
+		return
+	}
+	kept := s[:0]
+	for _, c := range s {
+		if c != ch {
+			kept = append(kept, c)
+		}
+	}
+	clear(s[len(kept):])
+	if len(kept) == 0 {
+		delete(idx, ref.name)
+	} else {
+		idx[ref.name] = kept
+	}
 }
 
 // ownedChannels collects every channel from every shard's snapshot. Each

@@ -371,7 +371,8 @@ func TestPublishAfterCloseDeliversInline(t *testing.T) {
 // so both sides retire-and-replace. Whatever interleaving wins, each key
 // must end with exactly one live bySrc entry — one delivery per publish
 // — and Disconnect must remove it completely. Run under -race this also
-// pins mutateN's locking against mutate2's.
+// pins the locking of a many-shard applyRoutes batch against single-key
+// edits on the same shards.
 func TestConnectManyConcurrentConnectNoDuplicates(t *testing.T) {
 	const shards = 4
 	const comps = 8

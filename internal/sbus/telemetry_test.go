@@ -29,9 +29,9 @@ func relayChain(t *testing.T) (alpha *Bus, beta *Bus, gamma *Bus, rec *sinkRecor
 	t.Helper()
 	netw := transport.NewMemNetwork()
 
-	alpha = NewBus("tr-alpha", openACL(), nil, nil)
-	beta = NewBus("tr-beta", openACL(), nil, nil)
-	gamma = NewBus("tr-gamma", openACL(), nil, nil)
+	alpha = NewShardedBus("tr-alpha", 1, openACL(), nil, nil)
+	beta = NewShardedBus("tr-beta", 1, openACL(), nil, nil)
+	gamma = NewShardedBus("tr-gamma", 1, openACL(), nil, nil)
 
 	for addr, b := range map[string]*Bus{"beta-addr": beta, "gamma-addr": gamma} {
 		ln, err := netw.Listen(addr)

@@ -65,6 +65,12 @@ check 'go run \./cmd/benchharness +-[a-z]' \
     'benchharness takes no flags; it only runs E1–E11 (performance is bench/)'
 check '-json +BENCH' \
     'the BENCH_<n>.json baselines are gone; bench/ appends results with -out'
+check '`mutate2`' \
+    'every channel change is one applyRoutes call over all touched shards, locked in ascending order'
+check 'NewBus is the single-shard|`NewBus` ≡' \
+    'sbus.NewBus is gone; a single-shard bus is NewShardedBus(name, 1, ...)'
+check 'exactly like an Engine' \
+    'cep.Engine is gone; ShardedEngine is the only engine and its lanes own the patterns'
 
 if [ "$fail" -eq 0 ]; then
     echo "docs-freshness: OK"
