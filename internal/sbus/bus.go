@@ -50,6 +50,16 @@ type channel struct {
 	verified atomic.Pointer[chanStamp]
 }
 
+// auditIDs returns the entities audit records name the channel's ends
+// by, the same at establishment and teardown: the endpoints' components,
+// or for a cross-bus channel the remote sink's "bus:component.endpoint".
+func (ch *channel) auditIDs() (src, dst ifc.EntityID) {
+	if ch.dstComp == nil {
+		return ch.srcComp.entity.ID(), ifc.EntityID(ch.key.dst)
+	}
+	return ch.srcComp.entity.ID(), ch.dstComp.entity.ID()
+}
+
 // A chanStamp records the invalidation generations a channel-legality check
 // was derived from: the two endpoint entities' context generations and the
 // process-wide flow-cache generation (which advances on privilege and gate
@@ -61,52 +71,66 @@ type chanStamp struct {
 }
 
 // routing is one shard's immutable routing state. Mutations (component
-// registration, channel establishment/teardown) build a new snapshot under
-// the shard's write lock and publish it atomically, so the message hot
-// path (publish → deliverLocal) reads routing state without taking any
+// registration, channel establishment/teardown) build the next version
+// under the shard's write lock and publish it atomically, so the message
+// hot path (publish → deliverLocal) reads routing state without taking any
 // lock and never contends with reconfiguration — and reconfiguration of
-// one shard never contends with any other shard.
+// one shard never contends with any other shard. Each index is a cowMap,
+// so a version copies only the buckets its mutation writes.
 type routing struct {
+	// ver numbers the shard's snapshot versions: clone increments it, and
+	// chanList stamps record which version made a list.
+	ver uint64
 	// components maps the names that hash to this shard to their components.
-	components map[string]*Component
+	components cowMap[string, *Component]
 	// channels holds the channels this shard owns: those whose source
 	// component is homed here.
-	channels map[channelKey]*channel
+	channels cowMap[channelKey, *channel]
 	// bySrc indexes owned channels by their source endpoint
 	// ("component.endpoint"), making publish O(fan-out) instead of
 	// O(total channels).
-	bySrc map[string][]*channel
+	bySrc cowMap[string, chanList]
 	// byComp indexes channels by this shard's *components* (source, and
 	// local sink when it differs), so a context change re-evaluates only the
 	// changed component's channels instead of every channel on the bus. A
 	// cross-shard channel therefore appears in its sink's home shard under
 	// byComp even though the source's shard owns it.
-	byComp map[string][]*channel
+	byComp cowMap[string, chanList]
 }
 
-// clone copies the snapshot's maps (the referenced components and channels
-// are shared — they are immutable or internally synchronised). Slice
-// values are shared too; applyRoutes copies one before its first write.
+// A chanList is one bySrc or byComp entry: the channels, and the routing
+// version that allocated chs. Only that version may edit chs in place;
+// any later one copies it first (see routing.edit).
+type chanList struct {
+	chs []*channel
+	ver uint64
+}
+
+func newRouting() *routing {
+	return &routing{
+		components: cowMap[string, *Component]{hash: hashString},
+		// Channels bucket by source endpoint, as bySrc does: a source's
+		// channels share a bucket, whose copy costs what copying the
+		// source's bySrc entry already costs.
+		channels: cowMap[channelKey, *channel]{hash: func(k channelKey) uint64 { return hashString(k.src) }},
+		bySrc:    cowMap[string, chanList]{hash: hashString},
+		byComp:   cowMap[string, chanList]{hash: hashString},
+	}
+}
+
+// clone starts the next version of the snapshot. It copies no entries:
+// each map copies its bucket table and the buckets it writes on first
+// write (the referenced components and channels are shared — they are
+// immutable or internally synchronised). Channel lists are shared too;
+// routing.edit copies one before its first write.
 func (r *routing) clone() *routing {
-	next := &routing{
-		components: make(map[string]*Component, len(r.components)+1),
-		channels:   make(map[channelKey]*channel, len(r.channels)+1),
-		bySrc:      make(map[string][]*channel, len(r.bySrc)+1),
-		byComp:     make(map[string][]*channel, len(r.byComp)+1),
+	return &routing{
+		ver:        r.ver + 1,
+		components: r.components.clone(),
+		channels:   r.channels.clone(),
+		bySrc:      r.bySrc.clone(),
+		byComp:     r.byComp.clone(),
 	}
-	for k, v := range r.components {
-		next.components[k] = v
-	}
-	for k, v := range r.channels {
-		next.channels[k] = v
-	}
-	for k, v := range r.bySrc {
-		next.bySrc[k] = v
-	}
-	for k, v := range r.byComp {
-		next.byComp[k] = v
-	}
-	return next
 }
 
 // A Bus is one messaging substrate instance: the per-machine process that
@@ -205,12 +229,7 @@ func NewShardedBus(name string, shards int, acl *ac.ACL, store *ctxmodel.Store, 
 	b.shards = make([]*shard, shards)
 	for i := range b.shards {
 		sh := &shard{idx: i, ring: make(chan handoff, handoffRingSize)}
-		sh.routing.Store(&routing{
-			components: map[string]*Component{},
-			channels:   map[channelKey]*channel{},
-			bySrc:      map[string][]*channel{},
-			byComp:     map[string][]*channel{},
-		})
+		sh.routing.Store(newRouting())
 		b.shards[i] = sh
 	}
 	if shards > 1 {
@@ -302,10 +321,10 @@ func (b *Bus) Register(name string, principal ifc.PrincipalID, ctx ifc.SecurityC
 	var dup bool
 	b.mutate([]int{idx}, func(rs map[int]*routing) bool {
 		r := rs[idx]
-		if _, dup = r.components[name]; dup {
+		if _, dup = r.components.get(name); dup {
 			return false
 		}
-		r.components[name] = c
+		r.components.set(name, c)
 		return true
 	})
 	if dup {
@@ -317,7 +336,7 @@ func (b *Bus) Register(name string, principal ifc.PrincipalID, ctx ifc.SecurityC
 // Component looks a component up by name. Names map to exactly one shard,
 // so the lookup reads a single snapshot, lock-free.
 func (b *Bus) Component(name string) (*Component, error) {
-	c, ok := b.shardFor(name).routing.Load().components[name]
+	c, ok := b.shardFor(name).routing.Load().components.get(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoComponent, name)
 	}
@@ -328,9 +347,9 @@ func (b *Bus) Component(name string) (*Component, error) {
 func (b *Bus) Components() []string {
 	var out []string
 	for _, sh := range b.shards {
-		for n := range sh.routing.Load().components {
+		sh.routing.Load().components.each(func(n string, _ *Component) {
 			out = append(out, n)
-		}
+		})
 	}
 	sort.Strings(out)
 	return out
@@ -347,11 +366,11 @@ func (b *Bus) HotComponents(k int) []telemetry.HotComponent {
 	}
 	var all []telemetry.HotComponent
 	for _, sh := range b.shards {
-		for name, c := range sh.routing.Load().components {
+		sh.routing.Load().components.each(func(name string, c *Component) {
 			if n := c.delivered.Load(); n > 0 {
 				all = append(all, telemetry.HotComponent{Name: name, Lane: sh.idx, Deliveries: n})
 			}
-		}
+		})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Deliveries != all[j].Deliveries {
@@ -389,7 +408,7 @@ func (b *Bus) resolveLocal(addr string, wantDir Direction) (*Component, Endpoint
 	if err != nil {
 		return nil, EndpointSpec{}, err
 	}
-	c, ok := b.shardFor(compName).routing.Load().components[compName]
+	c, ok := b.shardFor(compName).routing.Load().components.get(compName)
 	if !ok {
 		return nil, EndpointSpec{}, fmt.Errorf("%w: %q", ErrNoComponent, compName)
 	}
@@ -423,9 +442,10 @@ func (b *Bus) Connect(by ifc.PrincipalID, src, dst string) error {
 	}
 	b.applyRoutes([]routeEdit{{ch: ch}})
 
+	srcID, dstID := ch.auditIDs()
 	b.log.Append(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
-		Src: ch.srcComp.entity.ID(), Dst: ch.dstComp.entity.ID(),
+		Src: srcID, Dst: dstID,
 		SrcCtx: ch.srcComp.Context(), DstCtx: ch.dstComp.Context(),
 		Agent: by, Note: "channel established",
 	})
@@ -504,13 +524,13 @@ func (b *Bus) police(by ifc.PrincipalID, src, dst string, snap ctxmodel.Snapshot
 
 // ConnectMany establishes many local channels in one pass, with one
 // routing-snapshot swap per touched shard instead of one per channel —
-// the bulk path for bootstrapping large topologies (a million registered
-// channels clone each shard's index once, not a million times). Every
-// pair is individually policed exactly as Connect polices it (AC, schema,
-// IFC, quarantine); the first failure aborts the whole batch before any
-// routing state changes. A key that repeats in the batch is established
-// once, by its last pair, as repeated Connect would leave it. One summary
-// audit record is appended per batch.
+// the bulk path for bootstrapping large topologies (a million channels
+// copy each written bucket and channel list once per batch, not once per
+// channel). Every pair is individually policed exactly as Connect polices
+// it (AC, schema, IFC, quarantine); the first failure aborts the whole
+// batch before any routing state changes. A key that repeats in the batch
+// is established once, by its last pair, as repeated Connect would leave
+// it. One summary audit record is appended per batch.
 //
 // The batch is one applyRoutes call, so it serialises against concurrent
 // Connect/Disconnect on overlapping keys exactly like repeated Connect
@@ -552,12 +572,14 @@ func (b *Bus) Disconnect(by ifc.PrincipalID, src, dst string) error {
 	if remote, rest := splitRemoteAddr(dst); remote == "" || remote == b.name {
 		key.dst = rest
 	}
-	if len(b.applyRoutes([]routeEdit{{key: key}})) == 0 {
+	removed := b.applyRoutes([]routeEdit{{key: key}})
+	if len(removed) == 0 {
 		return fmt.Errorf("%w: %s -> %s", ErrNoChannel, src, dst)
 	}
+	srcID, dstID := removed[0].auditIDs()
 	b.log.Append(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
-		Src: ifc.EntityID(b.name + ":" + src), Dst: ifc.EntityID(dst),
+		Src: srcID, Dst: dstID,
 		Agent: by, Note: "channel torn down",
 	})
 	return nil
@@ -568,9 +590,9 @@ func (b *Bus) Disconnect(by ifc.PrincipalID, src, dst string) error {
 func (b *Bus) Channels() []string {
 	var out []string
 	for _, sh := range b.shards {
-		for k := range sh.routing.Load().channels {
+		sh.routing.Load().channels.each(func(k channelKey, _ *channel) {
 			out = append(out, k.src+" -> "+k.dst)
-		}
+		})
 	}
 	sort.Strings(out)
 	return out
@@ -628,10 +650,10 @@ func (b *Bus) publish(c *Component, endpoint string, m *msg.Message) (int, error
 		}
 	}
 
-	outs := b.shards[c.shard].routing.Load().bySrc[c.Name()+"."+endpoint]
+	outs, _ := b.shards[c.shard].routing.Load().bySrc.get(c.Name() + "." + endpoint)
 
 	delivered := 0
-	for _, ch := range outs {
+	for _, ch := range outs.chs {
 		if ch.remoteBus != "" {
 			if err := b.sendRemote(c, ep, ch.remoteBus, ch.remoteDst, m); err == nil {
 				delivered++
@@ -742,7 +764,8 @@ func (b *Bus) reevaluate(component string) {
 	sh.reevals.Add(1)
 	cur := sh.routing.Load()
 	var torn []*channel
-	for _, ch := range cur.byComp[component] {
+	l, _ := cur.byComp.get(component)
+	for _, ch := range l.chs {
 		if ch.remoteBus != "" {
 			continue // the remote bus re-checks on ingress
 		}
@@ -770,9 +793,10 @@ func (b *Bus) reevaluate(component string) {
 		edits[i] = routeEdit{key: ch.key, expect: ch}
 	}
 	for _, ch := range b.applyRoutes(edits) {
+		srcID, dstID := ch.auditIDs()
 		b.log.Append(audit.Record{
 			Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
-			Src: ifc.EntityID(b.name + ":" + ch.key.src), Dst: ifc.EntityID(ch.key.dst),
+			Src: srcID, Dst: dstID,
 			Note: "channel torn down: context change made flow illegal",
 		})
 	}

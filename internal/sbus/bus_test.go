@@ -299,6 +299,75 @@ func TestContextChangeTearsDownChannel(t *testing.T) {
 	}
 }
 
+// TestTeardownAuditNamesEstablishedEnds pairs each channel's establishment
+// record with its teardown record by Src and Dst: Disconnect and
+// re-evaluation teardown must name the same entities Connect did (the
+// components' entities locally, the remote sink's address across buses),
+// so an auditor can match a channel's lifetime in the log.
+func TestTeardownAuditNamesEstablishedEnds(t *testing.T) {
+	bus, _ := newHomeBus(t)
+	if err := bus.Connect("hospital", "ann-device.out", "ann-analyser.in"); err != nil {
+		t.Fatal(err)
+	}
+	if err := bus.Disconnect("hospital", "ann-device.out", "ann-analyser.in"); err != nil {
+		t.Fatal(err)
+	}
+	est, torn := checkTeardownPairs(t, bus.Log(), "channel established", "channel torn down")
+	if est.Src != "hospital-bus:ann-device" || est.Dst != "hospital-bus:ann-analyser" {
+		t.Fatalf("establishment names %s -> %s", est.Src, est.Dst)
+	}
+
+	if err := bus.Connect("hospital", "ann-device.out", "ann-analyser.in"); err != nil {
+		t.Fatal(err)
+	}
+	analyser, _ := bus.Component("ann-analyser")
+	if err := analyser.Entity().GrantPrivileges(ifc.Privileges{
+		RemoveSecrecy:   ifc.MustLabel("ann", "medical"),
+		RemoveIntegrity: ifc.MustLabel("hosp-dev", "consent"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := analyser.SetContext(ifc.SecurityContext{}); err != nil {
+		t.Fatal(err)
+	}
+	_, torn2 := checkTeardownPairs(t, bus.Log(), "channel established",
+		"channel torn down: context change made flow illegal")
+	if torn2.Src != torn.Src || torn2.Dst != torn.Dst {
+		t.Fatalf("re-evaluation teardown names %s -> %s, Disconnect named %s -> %s",
+			torn2.Src, torn2.Dst, torn.Src, torn.Dst)
+	}
+
+	home, _, _ := linkedBuses(t)
+	if err := home.Connect("hospital", "ann-device.out", "cloud-bus:ann-analyser.in"); err != nil {
+		t.Fatal(err)
+	}
+	if err := home.Disconnect("hospital", "ann-device.out", "cloud-bus:ann-analyser.in"); err != nil {
+		t.Fatal(err)
+	}
+	est, _ = checkTeardownPairs(t, home.Log(), "cross-bus channel established", "channel torn down")
+	if est.Src != "home-bus:ann-device" || est.Dst != "cloud-bus:ann-analyser.in" {
+		t.Fatalf("cross-bus establishment names %s -> %s", est.Src, est.Dst)
+	}
+}
+
+// checkTeardownPairs finds the last record noted established and the last
+// noted torn in the log and fails unless both name the same Src and Dst.
+func checkTeardownPairs(t *testing.T, log *audit.Log, established, torn string) (est, td audit.Record) {
+	t.Helper()
+	last := func(note string) audit.Record {
+		rs := log.Select(func(r audit.Record) bool { return r.Kind == audit.Reconfiguration && r.Note == note })
+		if len(rs) == 0 {
+			t.Fatalf("no %q record", note)
+		}
+		return rs[len(rs)-1]
+	}
+	est, td = last(established), last(torn)
+	if est.Src != td.Src || est.Dst != td.Dst {
+		t.Fatalf("%q names %s -> %s, %q names %s -> %s", established, est.Src, est.Dst, torn, td.Src, td.Dst)
+	}
+	return est, td
+}
+
 func TestContextChangeKeepsLegalChannel(t *testing.T) {
 	bus, rec := newHomeBus(t)
 	if err := bus.Connect("hospital", "ann-device.out", "ann-analyser.in"); err != nil {

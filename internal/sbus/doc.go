@@ -32,8 +32,12 @@
 // Each shard owns:
 //
 //   - an independent copy-on-write routing snapshot (components, channels
-//     keyed by owning source, by-component channel index), read lock-free
-//     by the hot path and cloned under the shard's own mutex by mutations;
+//     keyed by owning source, by-source and by-component channel indexes),
+//     read lock-free by the hot path. Each index is a map spread over 256
+//     buckets and copied per bucket: a mutation, under the shard's own
+//     mutex, copies the 2 KiB bucket table of each index it writes and
+//     the buckets it writes, so its cost follows what it touches, not the
+//     size of the shard;
 //   - a bounded handoff ring and a dispatcher goroutine (started only when
 //     N > 1) that delivers messages whose sink lives on that shard.
 //

@@ -505,6 +505,13 @@ func (l *link) noteConnDead(conn transport.Conn) {
 	conn.Close()
 }
 
+// current reports whether conn is still the link's live connection.
+func (l *link) current(conn transport.Conn) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.conn == conn
+}
+
 // waitConn blocks until a live connection is attached, returning nil once
 // the link is closed.
 func (l *link) waitConn() transport.Conn {
@@ -672,6 +679,12 @@ func (l *link) writeLoop() {
 					batch = append(batch, f)
 				case <-l.done:
 					return
+				}
+				if !l.current(conn) {
+					// conn died while the writer idled on the queue: hold
+					// this frame for the next conn and leave the rest
+					// queued, as if the writer had been waiting there.
+					continue
 				}
 			}
 			size := len(batch[0])
@@ -909,10 +922,11 @@ func (l *link) replayEgress(conn transport.Conn) int {
 				if ok && !resp.OK {
 					// The peer's current state refuses this channel: keeping
 					// it routed would silently drop every message.
-					if len(b.applyRoutes([]routeEdit{{key: w.key}})) > 0 {
+					if removed := b.applyRoutes([]routeEdit{{key: w.key}}); len(removed) > 0 {
+						srcID, dstID := removed[0].auditIDs()
 						b.log.Append(audit.Record{
 							Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
-							Src: ifc.EntityID(b.name + ":" + w.key.src), Dst: ifc.EntityID(w.key.dst),
+							Src: srcID, Dst: dstID,
 							Note: "cross-bus channel torn down: resume refused: " + resp.Err,
 						})
 					}
@@ -983,9 +997,10 @@ func (b *Bus) connectRemote(by ifc.PrincipalID, ch *channel) error {
 		return fmt.Errorf("sbus: remote bus %q refused connect: %s", ch.remoteBus, resp.Err)
 	}
 	b.applyRoutes([]routeEdit{{ch: ch}})
+	srcID, dstID := ch.auditIDs()
 	b.log.Append(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
-		Src: ch.srcComp.entity.ID(), Dst: ifc.EntityID(ch.key.dst),
+		Src: srcID, Dst: dstID,
 		SrcCtx: ctx, Agent: by, Note: "cross-bus channel established",
 	})
 	return nil

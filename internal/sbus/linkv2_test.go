@@ -158,6 +158,10 @@ func TestResumeRefusedTearsChannelDown(t *testing.T) {
 	if len(torn) != 1 {
 		t.Fatalf("teardown audit records = %d, want 1", len(torn))
 	}
+	est := home.Log().Select(func(r audit.Record) bool { return r.Note == "cross-bus channel established" })
+	if len(est) != 1 || est[0].Src != torn[0].Src || est[0].Dst != torn[0].Dst {
+		t.Fatalf("teardown names %s -> %s, establishment records %v", torn[0].Src, torn[0].Dst, est)
+	}
 }
 
 // TestRetryBudgetExhaustedReportsLinkDown: when the peer never comes back,
@@ -176,11 +180,18 @@ func TestRetryBudgetExhaustedReportsLinkDown(t *testing.T) {
 	link.mu.Unlock()
 	conn.Close()
 
-	waitFor(t, func() bool { return len(home.Links()) == 0 }, "link removal")
-	exhausted := home.Log().Select(func(r audit.Record) bool {
-		return containsAll(r.Note, "link closed", "retry budget exhausted")
-	})
-	if len(exhausted) != 1 {
+	// removeLink drops the link from the table before it appends the audit
+	// record, so wait for the record: by then the removal has happened.
+	exhaustedRecords := func() []audit.Record {
+		return home.Log().Select(func(r audit.Record) bool {
+			return containsAll(r.Note, "link closed", "retry budget exhausted")
+		})
+	}
+	waitFor(t, func() bool { return len(exhaustedRecords()) > 0 }, "link removal")
+	if links := home.Links(); len(links) != 0 {
+		t.Fatalf("links after budget exhaustion = %v", links)
+	}
+	if exhausted := exhaustedRecords(); len(exhausted) != 1 {
 		t.Fatalf("budget-exhausted audit records = %d, want 1", len(exhausted))
 	}
 	if n, err := annDev.Publish("out", vitalsMessage("ann", 72)); err != nil || n != 0 {

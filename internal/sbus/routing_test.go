@@ -3,7 +3,9 @@ package sbus
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -255,7 +257,19 @@ func checkRoutingIndexes(t *testing.T, bus *Bus, where string) {
 	}
 	owner := map[channelKey]int{}
 	for i, sh := range bus.shards {
-		for key, ch := range sh.routing.Load().channels {
+		var chs []*channel
+		rt := sh.routing.Load()
+		rt.channels.each(func(key channelKey, ch *channel) {
+			if key != ch.key {
+				t.Fatalf("%s: shard %d holds %v under key %v", where, i, ch.key, key)
+			}
+			chs = append(chs, ch)
+		})
+		if rt.channels.len() != len(chs) {
+			t.Fatalf("%s: shard %d channels.len() = %d, holds %d", where, i, rt.channels.len(), len(chs))
+		}
+		for _, ch := range chs {
+			key := ch.key
 			if prev, dup := owner[key]; dup {
 				t.Fatalf("%s: key %v owned by shards %d and %d", where, key, prev, i)
 			}
@@ -278,7 +292,7 @@ func checkRoutingIndexes(t *testing.T, bus *Bus, where string) {
 	}
 	for i, sh := range bus.shards {
 		rt := sh.routing.Load()
-		compare := func(what string, idx map[string][]*channel, want map[string][]string) {
+		compare := func(what string, idx *cowMap[string, chanList], want map[string][]string) {
 			t.Helper()
 			for _, ids := range want {
 				sort.Strings(ids)
@@ -287,22 +301,163 @@ func checkRoutingIndexes(t *testing.T, bus *Bus, where string) {
 				t.Fatalf("%s: shard %d %s\n got: %v\nwant: %v", where, i, what, got, want)
 			}
 		}
-		compare("bySrc", rt.bySrc, wantSrc[i])
-		compare("byComp", rt.byComp, wantComp[i])
+		compare("bySrc", &rt.bySrc, wantSrc[i])
+		compare("byComp", &rt.byComp, wantComp[i])
 	}
 }
 
 // indexIDs renders an index as sorted "src -> dst" lists per entry; an
 // empty entry shows as an empty list, which no rebuild produces.
-func indexIDs(idx map[string][]*channel) map[string][]string {
-	out := make(map[string][]string, len(idx))
-	for name, chs := range idx {
+func indexIDs(idx *cowMap[string, chanList]) map[string][]string {
+	out := make(map[string][]string, idx.len())
+	idx.each(func(name string, l chanList) {
 		ids := []string{}
-		for _, ch := range chs {
+		for _, ch := range l.chs {
 			ids = append(ids, ch.key.src+" -> "+ch.key.dst)
 		}
 		sort.Strings(ids)
 		out[name] = ids
-	}
+	})
 	return out
+}
+
+// FuzzRouteEdits decodes its input into Register, Connect, Disconnect,
+// ConnectMany and SetComponentContext calls on buses of 1, 2 and 4
+// shards, and after every call checks the routing-index invariant: a
+// channel exists iff its bySrc and byComp entries exist.
+func FuzzRouteEdits(f *testing.F) {
+	f.Add([]byte{0, 0x00, 0, 0x11, 0, 0x22, 1, 0x10, 3, 2, 0x21, 0x01, 4, 0x21, 2, 0x10, 1, 0x02})
+	f.Add([]byte{0, 0x03, 0, 0x14, 0, 0x05, 3, 3, 0x43, 0x54, 0x35, 4, 0x14, 4, 0x04, 1, 0x43, 2, 0x43})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, shards := range []int{1, 2, 4} {
+			fuzzRouteEdits(t, shards, data)
+		}
+	})
+}
+
+// fuzzRouteEdits replays data on a fresh bus as up to 64 calls, each an
+// opcode byte followed by argument bytes naming one of eight components
+// (low and high nibble for a channel's two ends) and one of three
+// contexts.
+func fuzzRouteEdits(t *testing.T, shards int, data []byte) {
+	bus := NewShardedBus("fuzz", shards, permissiveACL(), nil, nil)
+	defer bus.Close()
+	schema := msg.MustSchema("m", ifc.EmptyLabel, msg.Field{Name: "v", Type: msg.TFloat})
+	ctxs := []ifc.SecurityContext{
+		{},
+		ifc.MustContext([]ifc.Tag{"a"}, nil),
+		ifc.MustContext([]ifc.Tag{"a", "b"}, nil),
+	}
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	name := func(b int) string { return "c" + strconv.Itoa(b&7) }
+	pair := func() [2]string {
+		b := next()
+		return [2]string{name(b) + ".out", name(b>>4) + ".in"}
+	}
+	for step := 0; len(data) > 0 && step < 64; step++ {
+		var call string
+		switch op := next() % 5; op {
+		case 0:
+			b := next()
+			call = "Register " + name(b)
+			c, err := bus.Register(name(b), "p", ctxs[(b>>4)%3], nil,
+				EndpointSpec{Name: "out", Dir: Source, Schema: schema},
+				EndpointSpec{Name: "in", Dir: Sink, Schema: schema})
+			if err == nil {
+				if err := c.Entity().GrantPrivileges(ifc.OwnerPrivileges("a", "b")); err != nil {
+					t.Fatal(err)
+				}
+			}
+		case 1:
+			p := pair()
+			call = fmt.Sprint("Connect ", p)
+			_ = bus.Connect("p", p[0], p[1]) // refusals leave routing as it was
+		case 2:
+			p := pair()
+			call = fmt.Sprint("Disconnect ", p)
+			_ = bus.Disconnect("p", p[0], p[1])
+		case 3:
+			batch := make([][2]string, next()%4+1)
+			for i := range batch {
+				batch[i] = pair()
+			}
+			call = fmt.Sprint("ConnectMany ", batch)
+			_ = bus.ConnectMany("p", batch)
+		case 4:
+			b := next()
+			call = "SetComponentContext " + name(b)
+			_ = bus.SetComponentContext("p", name(b), ctxs[(b>>4)%3])
+		}
+		checkRoutingIndexes(t, bus, fmt.Sprintf("shards %d step %d (%s)", shards, step, call))
+	}
+}
+
+// TestRoutingMutationAllocScaling pins a routing mutation's cost to what it
+// touches: one Register plus one Connect on a bus of 5 000 components and
+// 25 000 channels may allocate at most twice the bytes they allocate on a
+// bus ten times smaller (whole-snapshot clones allocate about ten times
+// more). It counts bytes and does no timing, so a loaded machine cannot
+// make it flaky.
+func TestRoutingMutationAllocScaling(t *testing.T) {
+	smallReg, smallConn := mutationAllocs(t, 500)
+	bigReg, bigConn := mutationAllocs(t, 5000)
+	t.Logf("Register: %d B at 500 components, %d B at 5000; Connect: %d B, %d B",
+		smallReg, bigReg, smallConn, bigConn)
+	if small, big := smallReg+smallConn, bigReg+bigConn; big > 2*small {
+		t.Errorf("Register+Connect allocate %d B on the large bus, %d B on the small one: more than 2x", big, small)
+	}
+}
+
+// mutationAllocs builds a one-shard bus of n components wired in a ring of
+// fan-out 5 (5n channels) and returns the bytes (MemStats.TotalAlloc) one
+// Register of a new component and one Connect from it allocate, each the
+// least of five tries, so a one-off allocation elsewhere in the process
+// cannot inflate the figure.
+func mutationAllocs(t *testing.T, n int) (register, connect uint64) {
+	t.Helper()
+	bus := NewShardedBus("scale", 1, permissiveACL(), nil, nil)
+	defer bus.Close()
+	schema := msg.MustSchema("m", ifc.EmptyLabel, msg.Field{Name: "v", Type: msg.TFloat})
+	out := EndpointSpec{Name: "out", Dir: Source, Schema: schema}
+	in := EndpointSpec{Name: "in", Dir: Sink, Schema: schema}
+	for i := 0; i < n; i++ {
+		if _, err := bus.Register(fmt.Sprintf("c-%05d", i), "p", ifc.SecurityContext{}, nil, out, in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pairs [][2]string
+	for i := 0; i < n; i++ {
+		for j := 1; j <= 5; j++ {
+			pairs = append(pairs, [2]string{fmt.Sprintf("c-%05d.out", i), fmt.Sprintf("c-%05d.in", (i+j)%n)})
+		}
+	}
+	if err := bus.ConnectMany("p", pairs); err != nil {
+		t.Fatal(err)
+	}
+	register, connect = math.MaxUint64, math.MaxUint64
+	var ms runtime.MemStats
+	for k := 0; k < 5; k++ {
+		name := "new-" + strconv.Itoa(k)
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		if _, err := bus.Register(name, "p", ifc.SecurityContext{}, nil, out, in); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		register = min(register, ms.TotalAlloc-before)
+		before = ms.TotalAlloc
+		if err := bus.Connect("p", name+".out", "c-00000.in"); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		connect = min(connect, ms.TotalAlloc-before)
+	}
+	return register, connect
 }

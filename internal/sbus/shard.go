@@ -196,8 +196,8 @@ func (b *Bus) ShardStats() []ShardStats {
 		r := sh.routing.Load()
 		out[i] = ShardStats{
 			Shard:         i,
-			Components:    len(r.components),
-			Channels:      len(r.channels),
+			Components:    r.components.len(),
+			Channels:      r.channels.len(),
 			Delivered:     sh.delivered.Load(),
 			HandoffsIn:    sh.handoffsIn.Load(),
 			Overflow:      sh.overflow.Load(),
@@ -232,10 +232,12 @@ func (b *Bus) Close() {
 }
 
 // mutate locks every shard in idxs (any order, duplicates allowed) in
-// ascending index order, clones each one's snapshot, applies fn to the
-// clones, and publishes them all if fn reports a change. Every routing
-// mutation goes through here, and the one lock order keeps concurrent
-// mutations over overlapping shard sets deadlock-free.
+// ascending index order, starts the next version of each one's snapshot
+// (see routing.clone), applies fn to those versions, and publishes them
+// all if fn reports a change. A version copies only the buckets fn writes,
+// so a mutation costs what it touches, not the size of the shard. Every
+// routing mutation goes through here, and the one lock order keeps
+// concurrent mutations over overlapping shard sets deadlock-free.
 func (b *Bus) mutate(idxs []int, fn func(rs map[int]*routing) bool) bool {
 	touched := make([]bool, len(b.shards))
 	for _, i := range idxs {
@@ -308,21 +310,20 @@ func (b *Bus) applyRoutes(edits []routeEdit) (removed []*channel) {
 		idxs = append(idxs, i, j)
 	}
 	b.mutate(idxs, func(rs map[int]*routing) bool {
-		w := routeWriter{rs: rs, fresh: make(map[sliceRef]bool)}
 		changed := false
 		for n, e := range edits {
-			old := rs[owner[n]].channels[e.key]
+			old, _ := rs[owner[n]].channels.get(e.key)
 			if e.ch == nil && (old == nil || e.expect != nil && old != e.expect) {
 				continue
 			}
 			if old != nil {
-				w.index(old, false)
+				index(rs, old, false)
 				if e.ch == nil {
 					removed = append(removed, old)
 				}
 			}
 			if e.ch != nil {
-				w.index(e.ch, true)
+				index(rs, e.ch, true)
 			}
 			changed = true
 		}
@@ -331,64 +332,53 @@ func (b *Bus) applyRoutes(edits []routeEdit) (removed []*channel) {
 	return removed
 }
 
-// A routeWriter edits the clones one applyRoutes call holds. Index
-// slices in a clone are still shared with the published snapshot that
-// lock-free readers hold, so the writer copies each slice the first time
-// the call touches it and records it in fresh; the copy is private until
-// publication, so later edits in the same call grow or filter it in
-// place — n channels added to one entry in a batch cost one copy, not n.
-type routeWriter struct {
-	rs    map[int]*routing
-	fresh map[sliceRef]bool
-}
-
-// A sliceRef names one index slice: bySrc or byComp on one shard.
-type sliceRef struct {
-	shard  int
-	byComp bool
-	name   string
-}
-
-// index adds ch to (add) or removes it from every index it belongs in.
-func (w *routeWriter) index(ch *channel, add bool) {
+// index adds ch to (add) or removes it from every index it belongs in,
+// across the snapshot versions rs one applyRoutes call holds.
+func index(rs map[int]*routing, ch *channel, add bool) {
+	src := rs[ch.srcShard]
 	if add {
-		w.rs[ch.srcShard].channels[ch.key] = ch
+		src.channels.set(ch.key, ch)
 	} else {
-		delete(w.rs[ch.srcShard].channels, ch.key)
+		src.channels.delete(ch.key)
 	}
-	w.edit(sliceRef{ch.srcShard, false, ch.key.src}, ch, add)
-	w.edit(sliceRef{ch.srcShard, true, ch.srcComp.Name()}, ch, add)
+	src.edit(&src.bySrc, ch.key.src, ch, add)
+	src.edit(&src.byComp, ch.srcComp.Name(), ch, add)
 	if ch.dstComp != nil && ch.dstComp != ch.srcComp {
-		w.edit(sliceRef{ch.dstShard, true, ch.dstComp.Name()}, ch, add)
+		dst := rs[ch.dstShard]
+		dst.edit(&dst.byComp, ch.dstComp.Name(), ch, add)
 	}
 }
 
-// edit appends ch to, or filters it out of, the slice ref names.
-func (w *routeWriter) edit(ref sliceRef, ch *channel, add bool) {
-	idx := w.rs[ref.shard].bySrc
-	if ref.byComp {
-		idx = w.rs[ref.shard].byComp
-	}
-	s := idx[ref.name]
-	if !w.fresh[ref] {
-		w.fresh[ref] = true
-		s = append(make([]*channel, 0, len(s)+1), s...)
+// edit appends ch to, or filters it out of, the list idx (r's bySrc or
+// byComp) holds under name. A list an earlier version made is still shared
+// with the published snapshot that lock-free readers hold, so edit copies
+// it first and stamps the copy with r's version; a list stamped with r's
+// version is private until publication, so later edits in the same call
+// grow or filter it in place — n channels added to one entry in a batch
+// cost one copy, not n.
+func (r *routing) edit(idx *cowMap[string, chanList], name string, ch *channel, add bool) {
+	b := idx.writable(name)
+	l := b[name]
+	if l.ver != r.ver {
+		l = chanList{chs: append(make([]*channel, 0, len(l.chs)+1), l.chs...), ver: r.ver}
 	}
 	if add {
-		idx[ref.name] = append(s, ch)
+		l.chs = append(l.chs, ch)
+		b[name] = l
 		return
 	}
-	kept := s[:0]
-	for _, c := range s {
+	kept := l.chs[:0]
+	for _, c := range l.chs {
 		if c != ch {
 			kept = append(kept, c)
 		}
 	}
-	clear(s[len(kept):])
+	clear(l.chs[len(kept):])
 	if len(kept) == 0 {
-		delete(idx, ref.name)
+		delete(b, name)
 	} else {
-		idx[ref.name] = kept
+		l.chs = kept
+		b[name] = l
 	}
 }
 
@@ -399,10 +389,9 @@ func (w *routeWriter) edit(ref sliceRef, ch *channel, add bool) {
 func (b *Bus) ownedChannels() []*channel {
 	var out []*channel
 	for _, sh := range b.shards {
-		r := sh.routing.Load()
-		for _, ch := range r.channels {
+		sh.routing.Load().channels.each(func(_ channelKey, ch *channel) {
 			out = append(out, ch)
-		}
+		})
 	}
 	return out
 }
@@ -410,5 +399,6 @@ func (b *Bus) ownedChannels() []*channel {
 // channelByKey looks a channel up in its owning shard (internal; tests).
 func (b *Bus) channelByKey(key channelKey) *channel {
 	srcName, _, _ := splitEndpointAddr(key.src)
-	return b.shardFor(srcName).routing.Load().channels[key]
+	ch, _ := b.shardFor(srcName).routing.Load().channels.get(key)
+	return ch
 }

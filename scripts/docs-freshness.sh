@@ -71,6 +71,8 @@ check 'NewBus is the single-shard|`NewBus` ≡' \
     'sbus.NewBus is gone; a single-shard bus is NewShardedBus(name, 1, ...)'
 check 'exactly like an Engine' \
     'cep.Engine is gone; ShardedEngine is the only engine and its lanes own the patterns'
+check "(cloned|clones|clone) (under the shard|(a|the|each) (shard.s )?(whole )?(routing )?(snapshot|index))|copies all four maps" \
+    'a routing mutation copies only the buckets it writes (per-bucket copy-on-write), never the whole snapshot'
 
 if [ "$fail" -eq 0 ]; then
     echo "docs-freshness: OK"
