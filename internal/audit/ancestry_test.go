@@ -1,9 +1,11 @@
 package audit
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -12,12 +14,46 @@ import (
 )
 
 // bruteReach recomputes a reachability set from scratch, bypassing the
-// memo — the reference the memoized path must match after any interleaving
-// of mutations and queries.
-func bruteReach(g *Graph, id string, outgoing bool) []string {
+// memo and walkLocked — the reference the memoized path must match after
+// any interleaving of mutations and queries. It walks the slot adjacency
+// by node ID with a plain set, and checks each word against the edge set.
+func bruteReach(t *testing.T, g *Graph, id string, outgoing bool) []string {
+	t.Helper()
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.walkLocked(id, outgoing)
+	seen := map[string]bool{id: true}
+	frontier := []string{id}
+	var out []string
+	for len(frontier) > 0 {
+		var next []string
+		for _, n := range frontier {
+			s := g.index[n]
+			adj := g.slots[s].out
+			if !outgoing {
+				adj = g.slots[s].in
+			}
+			for _, w := range adj {
+				far, k := unpack(w)
+				key := edgeKey{s, far, k}
+				if !outgoing {
+					key = edgeKey{far, s, k}
+				}
+				if _, ok := g.edges[key]; !ok {
+					t.Fatalf("adjacency word %s -> %s (kind %d) missing from the edge set", n, g.slots[far].id, k)
+				}
+				other := g.slots[far].id
+				if seen[other] {
+					continue
+				}
+				seen[other] = true
+				out = append(out, other)
+				next = append(next, other)
+			}
+		}
+		frontier = next
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestAncestryMemoMatchesBruteForce interleaves random node/edge insertions
@@ -59,7 +95,7 @@ func TestAncestryMemoMatchesBruteForce(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := bruteReach(g, id, outgoing)
+				want := bruteReach(t, g, id, outgoing)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: query(%s, out=%v) = %v, brute force %v",
 						seed, step, id, outgoing, got, want)
@@ -226,4 +262,56 @@ func TestAncestryConcurrentQueriesAndAppends(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestReachRacingRemoval: a node removed while a query upgrades its lock
+// must be reported unknown, not answered (and memoized) as an empty set.
+// Node x has an edge in each direction whenever it is present, so every
+// answer is either ErrUnknownNode or non-empty. Run with -race.
+func TestReachRacingRemoval(t *testing.T) {
+	g := &Graph{}
+	// One record creates x with y -> x (wasInformedBy) and x -> a
+	// (wasControlledBy) under one lock: x never exists without edges.
+	rec := []Record{{Kind: FlowAllowed, Src: "x", Dst: "y", Agent: "a"}}
+	g.Append(rec)
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			g.RemoveNodes(map[string]bool{"x": true})
+			g.Append(rec)
+		}
+	}()
+	var readers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		readers.Add(1)
+		go func(outgoing bool) {
+			defer readers.Done()
+			for i := 0; i < 5000; i++ {
+				query := g.Descendants
+				if outgoing {
+					query = g.Ancestry
+				}
+				set, err := query("x")
+				if err == nil && len(set) == 0 {
+					t.Errorf("query(x, out=%v) = empty set, nil error", outgoing)
+					return
+				}
+				if err != nil && !errors.Is(err, ErrUnknownNode) {
+					t.Errorf("query(x, out=%v) = %v", outgoing, err)
+					return
+				}
+			}
+		}(w%2 == 0)
+	}
+	readers.Wait()
+	close(stop)
+	writer.Wait()
 }

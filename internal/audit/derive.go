@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"lciot/internal/ifc"
 )
 
 // BuildGraph derives a provenance graph from flow records, the paper's
@@ -28,38 +30,51 @@ func BuildGraph(records []Record) *Graph {
 func (g *Graph) Append(records []Record) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.nodes == nil {
-		g.nodes = make(map[string]Node)
-		g.out = make(map[string][]Edge)
-		g.in = make(map[string][]Edge)
-	}
-	ensure := func(id string, kind NodeKind, attrs map[string]string) {
-		if _, ok := g.nodes[id]; !ok {
-			g.nodes[id] = Node{ID: id, Kind: kind, Attrs: attrs}
+	// A process node's attributes are built only when the node is created.
+	process := func(id string, ctx ifc.SecurityContext) uint32 {
+		s, created := g.internLocked(id, NodeProcess)
+		if created {
+			g.slots[s].attrs = map[string]string{"ctx": ctx.String()}
 		}
+		return s
 	}
-	for _, r := range records {
+	for i := range records {
+		r := &records[i]
 		if r.Kind != FlowAllowed && r.Kind != GateCrossing {
 			continue
 		}
-		src, dst := string(r.Src), string(r.Dst)
-		if src == "" || dst == "" {
+		if r.Src == "" || r.Dst == "" {
 			continue
 		}
-		ensure(src, NodeProcess, map[string]string{"ctx": r.SrcCtx.String()})
-		ensure(dst, NodeProcess, map[string]string{"ctx": r.DstCtx.String()})
+		src := process(string(r.Src), r.SrcCtx)
+		dst := process(string(r.Dst), r.DstCtx)
 		// Process-to-process information flow.
-		_ = g.addEdgeLocked(Edge{Src: dst, Dst: src, Kind: EdgeInformedBy})
+		g.addEdgeLocked(dst, src, uint8(EdgeInformedBy))
 		if r.DataID != "" {
-			ensure(r.DataID, NodeData, nil)
-			_ = g.addEdgeLocked(Edge{Src: src, Dst: r.DataID, Kind: EdgeUsed})
-			_ = g.addEdgeLocked(Edge{Src: r.DataID, Dst: dst, Kind: EdgeGeneratedBy})
+			data, _ := g.internLocked(r.DataID, NodeData)
+			g.addEdgeLocked(src, data, uint8(EdgeUsed))
+			g.addEdgeLocked(data, dst, uint8(EdgeGeneratedBy))
 		}
 		if r.Agent != "" {
-			ensure(string(r.Agent), NodeAgent, nil)
-			_ = g.addEdgeLocked(Edge{Src: src, Dst: string(r.Agent), Kind: EdgeControlledBy})
+			agent, _ := g.internLocked(string(r.Agent), NodeAgent)
+			g.addEdgeLocked(src, agent, uint8(EdgeControlledBy))
 		}
 	}
+}
+
+// sortedSlotsLocked returns the live slots in node-ID order. The caller
+// holds g.mu.
+func (g *Graph) sortedSlotsLocked() []uint32 {
+	ids := make([]string, 0, len(g.index))
+	for id := range g.index {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	slots := make([]uint32, len(ids))
+	for i, id := range ids {
+		slots[i] = g.index[id]
+	}
+	return slots
 }
 
 // DOT renders the graph in Graphviz format, with the Fig. 11 conventions:
@@ -67,36 +82,33 @@ func (g *Graph) Append(records []Record) {
 func (g *Graph) DOT() string {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-
-	ids := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	order := g.sortedSlotsLocked()
 
 	var b strings.Builder
 	b.WriteString("digraph provenance {\n")
-	for _, id := range ids {
-		n := g.nodes[id]
+	for _, s := range order {
 		shape := "box"
-		switch n.Kind {
+		switch g.slots[s].kind {
 		case NodeData:
 			shape = "ellipse"
 		case NodeAgent:
 			shape = "diamond"
 		}
-		fmt.Fprintf(&b, "  %q [shape=%s];\n", id, shape)
+		fmt.Fprintf(&b, "  %q [shape=%s];\n", g.slots[s].id, shape)
 	}
-	for _, src := range ids {
-		edges := append([]Edge(nil), g.out[src]...)
+	for _, s := range order {
+		edges := append([]uint64(nil), g.slots[s].out...)
 		sort.Slice(edges, func(i, j int) bool {
-			if edges[i].Dst != edges[j].Dst {
-				return edges[i].Dst < edges[j].Dst
+			fi, ki := unpack(edges[i])
+			fj, kj := unpack(edges[j])
+			if x, y := g.slots[fi].id, g.slots[fj].id; x != y {
+				return x < y
 			}
-			return edges[i].Kind < edges[j].Kind
+			return ki < kj
 		})
-		for _, e := range edges {
-			fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", e.Src, e.Dst, e.Kind.String())
+		for _, w := range edges {
+			far, k := unpack(w)
+			fmt.Fprintf(&b, "  %q -> %q [label=%q];\n", g.slots[s].id, g.slots[far].id, EdgeKind(k).String())
 		}
 	}
 	b.WriteString("}\n")
@@ -128,16 +140,12 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 	defer g.mu.RUnlock()
 
 	out := jsonGraph{}
-	ids := make([]string, 0, len(g.nodes))
-	for id := range g.nodes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		n := g.nodes[id]
-		out.Nodes = append(out.Nodes, jsonNode{ID: n.ID, Kind: n.Kind.String(), Attrs: n.Attrs})
-		for _, e := range g.out[id] {
-			out.Edges = append(out.Edges, jsonEdge{Src: e.Src, Dst: e.Dst, Kind: e.Kind.String()})
+	for _, s := range g.sortedSlotsLocked() {
+		sl := &g.slots[s]
+		out.Nodes = append(out.Nodes, jsonNode{ID: sl.id, Kind: sl.kind.String(), Attrs: sl.attrs})
+		for _, w := range sl.out {
+			far, k := unpack(w)
+			out.Edges = append(out.Edges, jsonEdge{Src: sl.id, Dst: g.slots[far].id, Kind: EdgeKind(k).String()})
 		}
 	}
 	return json.Marshal(out)

@@ -24,13 +24,23 @@
 //
 // # Incremental provenance
 //
+// The graph is compact so that it can live on the message path. Node IDs
+// are interned into slots; each slot's adjacency is a list of packed
+// words (far slot << 8 | edge kind), which hold no pointers, so the
+// garbage collector never scans them. Edges form a set keyed by (source
+// slot, destination slot, kind): AddEdge and Append are idempotent, a
+// stream that repeats the same process pairs and agents adds one
+// wasInformedBy and one wasControlledBy edge per pair rather than per
+// message, and Len is O(1). Append builds a process node's attributes only
+// when it creates the node.
+//
 // Graphs are built for querying: Ancestry and Descendants memoize each
-// node's reachability set, stamped with a graph epoch that advances on
-// every AddEdge. The first query after a topology change walks the
-// history; repeats are served from the memo in time proportional to the
-// answer, not to the history depth. Graph.Append ingests new audit
-// records into an existing graph — the build-once/append-many path — so a
-// growing log never forces a full rebuild: append the new batch, let the
-// epoch retire the memo, and pay one walk per queried node per batch
-// rather than per query.
+// node's reachability set, stamped with a graph epoch that advances only
+// when the edge set changes — a new edge, or a RemoveNodes that deleted
+// something; re-deriving a known flow leaves the epoch, and the memo,
+// alone. The first query after a topology change walks the history;
+// repeats are served from the memo in time proportional to the answer,
+// not to the history depth. Graph.Append ingests new audit records into an
+// existing graph — the build-once/append-many path — so a growing log
+// never forces a full rebuild.
 package audit

@@ -82,26 +82,61 @@ var ErrUnknownNode = errors.New("audit: unknown node")
 
 // A Graph is a provenance graph. The zero value is ready to use.
 //
+// Nodes are interned: each node ID maps to a slot, and a slot's adjacency
+// is a list of packed words (far slot << 8 | edge kind). The lists hold no
+// pointers, so the garbage collector never scans them however large the
+// history grows. Edges form a set: adding an edge that is already present
+// changes nothing, so re-deriving the same flow is free.
+//
 // Reachability queries (Ancestry, Descendants, and everything built on
 // them) are memoized: the first query for a node walks the graph, repeated
 // queries return the memoized set in time proportional to the answer, not
-// to the history. The memo is epoch-stamped — AddEdge advances the graph
-// epoch, and a memo from an older epoch is discarded wholesale on the next
-// query — so audit workloads that build once (or append in bursts) and then
-// query repeatedly never pay the walk twice for the same topology.
+// to the history. The memo is epoch-stamped — every edge added or node
+// removed advances the graph epoch, and a memo from an older epoch is
+// discarded wholesale on the next query — so audit workloads that build
+// once (or append in bursts) and then query repeatedly never pay the walk
+// twice for the same topology.
 type Graph struct {
-	mu    sync.RWMutex
-	nodes map[string]Node
-	// out[src] lists edges leaving src; in[dst] lists edges entering dst.
-	out map[string][]Edge
-	in  map[string][]Edge
-	// epoch advances on every AddEdge; reachability memos are only valid
-	// while their stamped epoch matches.
+	mu sync.RWMutex
+	// index maps a node ID to its slot; free lists slots RemoveNodes
+	// cleared, for reuse.
+	index map[string]uint32
+	slots []slot
+	free  []uint32
+	// edges is the edge set; its size is the edge count.
+	edges map[edgeKey]struct{}
+	// epoch advances whenever the edge set changes; reachability memos are
+	// only valid while their stamped epoch matches.
 	epoch uint64
 	// anc and desc memoize Ancestry and Descendants results per node.
 	anc  reachMemo
 	desc reachMemo
 }
+
+// A slot is one interned node. out holds a word per edge leaving it, in a
+// word per edge entering it, each in insertion order.
+type slot struct {
+	id    string
+	kind  NodeKind
+	attrs map[string]string
+	out   []uint64
+	in    []uint64
+}
+
+// edgeKey identifies an edge by its endpoint slots and kind.
+type edgeKey struct {
+	src, dst uint32
+	kind     uint8
+}
+
+// maxEdgeKind is the largest kind an adjacency word can carry.
+const maxEdgeKind = 0xff
+
+// pack encodes the far endpoint and kind of an edge as an adjacency word.
+func pack(far uint32, k uint8) uint64 { return uint64(far)<<8 | uint64(k) }
+
+// unpack decodes an adjacency word.
+func unpack(w uint64) (far uint32, k uint8) { return uint32(w >> 8), uint8(w) }
 
 // A reachMemo holds reachability sets computed at one graph epoch.
 type reachMemo struct {
@@ -127,37 +162,69 @@ func (m *reachMemo) store(epoch uint64, id string, set []string) {
 	m.sets[id] = set
 }
 
+// internLocked returns id's slot, creating a node of the given kind (with
+// no attributes) when id is absent; created reports which. The caller
+// holds g.mu.
+func (g *Graph) internLocked(id string, kind NodeKind) (s uint32, created bool) {
+	if s, ok := g.index[id]; ok {
+		return s, false
+	}
+	if g.index == nil {
+		g.index = make(map[string]uint32)
+		g.edges = make(map[edgeKey]struct{})
+	}
+	if n := len(g.free); n > 0 {
+		s = g.free[n-1]
+		g.free = g.free[:n-1]
+		g.slots[s] = slot{id: id, kind: kind}
+	} else {
+		s = uint32(len(g.slots))
+		g.slots = append(g.slots, slot{id: id, kind: kind})
+	}
+	g.index[id] = s
+	return s, true
+}
+
 // AddNode inserts or updates a node.
 func (g *Graph) AddNode(n Node) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.nodes == nil {
-		g.nodes = make(map[string]Node)
-		g.out = make(map[string][]Edge)
-		g.in = make(map[string][]Edge)
-	}
-	g.nodes[n.ID] = n
+	s, _ := g.internLocked(n.ID, n.Kind)
+	g.slots[s].kind, g.slots[s].attrs = n.Kind, n.Attrs
 }
 
-// AddEdge inserts a directed edge; both endpoints must exist. Adding an
-// edge advances the graph epoch, retiring every memoized reachability set.
+// AddEdge inserts a directed edge; both endpoints must exist. The edges
+// form a set: adding an edge already present is a no-op. A new edge
+// advances the graph epoch, retiring every memoized reachability set.
 func (g *Graph) AddEdge(e Edge) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.addEdgeLocked(e)
-}
-
-func (g *Graph) addEdgeLocked(e Edge) error {
-	if _, ok := g.nodes[e.Src]; !ok {
+	src, ok := g.index[e.Src]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, e.Src)
 	}
-	if _, ok := g.nodes[e.Dst]; !ok {
+	dst, ok := g.index[e.Dst]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownNode, e.Dst)
 	}
-	g.out[e.Src] = append(g.out[e.Src], e)
-	g.in[e.Dst] = append(g.in[e.Dst], e)
-	g.epoch++
+	if e.Kind < 0 || e.Kind > maxEdgeKind {
+		return fmt.Errorf("audit: edge kind %d out of range", int(e.Kind))
+	}
+	g.addEdgeLocked(src, dst, uint8(e.Kind))
 	return nil
+}
+
+// addEdgeLocked inserts the edge src -> dst unless it is already present.
+// The caller holds g.mu.
+func (g *Graph) addEdgeLocked(src, dst uint32, k uint8) {
+	key := edgeKey{src, dst, k}
+	if _, dup := g.edges[key]; dup {
+		return
+	}
+	g.edges[key] = struct{}{}
+	g.slots[src].out = append(g.slots[src].out, pack(dst, k))
+	g.slots[dst].in = append(g.slots[dst].in, pack(src, k))
+	g.epoch++
 }
 
 // RemoveNodes deletes the given nodes and every edge touching them — the
@@ -168,65 +235,78 @@ func (g *Graph) addEdgeLocked(e Edge) error {
 func (g *Graph) RemoveNodes(ids map[string]bool) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	removed := 0
-	dropTouching := func(edges []Edge) []Edge {
-		kept := edges[:0]
-		for _, e := range edges {
-			if !ids[e.Src] && !ids[e.Dst] {
-				kept = append(kept, e)
+	dead := make(map[uint32]bool, len(ids))
+	for id := range ids {
+		if s, ok := g.index[id]; ok {
+			dead[s] = true
+		}
+	}
+	if len(dead) == 0 {
+		return 0
+	}
+	// Drop the dead nodes' edges from the set, and filter each surviving
+	// neighbour's word lists once, however many dead nodes it touched.
+	touched := map[uint32]bool{}
+	for s := range dead {
+		for _, w := range g.slots[s].out {
+			far, k := unpack(w)
+			delete(g.edges, edgeKey{s, far, k})
+			touched[far] = true
+		}
+		for _, w := range g.slots[s].in {
+			far, k := unpack(w)
+			delete(g.edges, edgeKey{far, s, k})
+			touched[far] = true
+		}
+	}
+	live := func(words []uint64) []uint64 {
+		kept := words[:0]
+		for _, w := range words {
+			if far, _ := unpack(w); !dead[far] {
+				kept = append(kept, w)
 			}
 		}
-		clear(edges[len(kept):])
 		return kept
 	}
-	for id := range ids {
-		if _, ok := g.nodes[id]; !ok {
-			continue
+	for s := range touched {
+		if !dead[s] {
+			g.slots[s].out = live(g.slots[s].out)
+			g.slots[s].in = live(g.slots[s].in)
 		}
-		delete(g.nodes, id)
-		removed++
-		for _, e := range g.out[id] {
-			if !ids[e.Dst] {
-				g.in[e.Dst] = dropTouching(g.in[e.Dst])
-			}
-		}
-		for _, e := range g.in[id] {
-			if !ids[e.Src] {
-				g.out[e.Src] = dropTouching(g.out[e.Src])
-			}
-		}
-		delete(g.out, id)
-		delete(g.in, id)
 	}
-	if removed > 0 {
-		g.epoch++
+	for s := range dead {
+		delete(g.index, g.slots[s].id)
+		g.slots[s] = slot{}
+		g.free = append(g.free, s)
 	}
-	return removed
+	g.epoch++
+	return len(dead)
 }
 
 // Node returns the node with the given ID.
 func (g *Graph) Node(id string) (Node, bool) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	n, ok := g.nodes[id]
-	return n, ok
+	s, ok := g.index[id]
+	if !ok {
+		return Node{}, false
+	}
+	sl := &g.slots[s]
+	return Node{ID: sl.id, Kind: sl.kind, Attrs: sl.attrs}, true
 }
 
 // Len returns the node and edge counts.
 func (g *Graph) Len() (nodes, edges int) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	for _, es := range g.out {
-		edges += len(es)
-	}
-	return len(g.nodes), edges
+	return len(g.index), len(g.edges)
 }
 
 // Ancestry returns every node reachable from id along outgoing edges — for
 // a data item: the processes that generated it, the data they used, and so
 // on back to the sources. This answers "how was this file generated?". The
 // first query for a node walks the history; repeats are served from the
-// epoch-stamped memo until the next AddEdge.
+// epoch-stamped memo until the edge set next changes.
 func (g *Graph) Ancestry(id string) ([]string, error) {
 	return g.reach(id, &g.anc, true)
 }
@@ -243,7 +323,7 @@ func (g *Graph) Descendants(id string) ([]string, error) {
 // sets are never aliased by callers.
 func (g *Graph) reach(id string, memo *reachMemo, outgoing bool) ([]string, error) {
 	g.mu.RLock()
-	if _, ok := g.nodes[id]; !ok {
+	if _, ok := g.index[id]; !ok {
 		g.mu.RUnlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
 	}
@@ -255,44 +335,44 @@ func (g *Graph) reach(id string, memo *reachMemo, outgoing bool) ([]string, erro
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	// The node may have been removed while we upgraded the lock; walking
+	// from a vanished node would memoize an empty answer for it.
+	s, ok := g.index[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, id)
+	}
 	// Another goroutine may have filled the memo while we upgraded the lock.
 	if set, hit := memo.lookup(g.epoch, id); hit {
 		return append([]string(nil), set...), nil
 	}
-	set := g.walkLocked(id, outgoing)
+	set := g.walkLocked(s, outgoing)
 	memo.store(g.epoch, id, set)
 	return append([]string(nil), set...), nil
 }
 
-// walkLocked BFSes from id (excluding id itself) over out- or in-edges.
-// The caller holds g.mu.
-func (g *Graph) walkLocked(id string, outgoing bool) []string {
-	adj := g.out
-	if !outgoing {
-		adj = g.in
-	}
-	seen := map[string]struct{}{id: {}}
-	frontier := []string{id}
-	var out []string
-	for len(frontier) > 0 {
-		var next []string
-		for _, n := range frontier {
-			for _, e := range adj[n] {
-				// e.Dst is the far endpoint of an out-edge, e.Src of an
-				// in-edge; the comparison picks it regardless of direction.
-				other := e.Dst
-				if other == n {
-					other = e.Src
-				}
-				if _, dup := seen[other]; dup {
-					continue
-				}
-				seen[other] = struct{}{}
-				out = append(out, other)
-				next = append(next, other)
-			}
+// walkLocked BFSes from slot s (excluding s itself) over out- or in-edges
+// and returns the reached node IDs, sorted. The caller holds g.mu.
+func (g *Graph) walkLocked(s uint32, outgoing bool) []string {
+	seen := make([]uint64, (len(g.slots)+63)/64)
+	seen[s/64] |= 1 << (s % 64)
+	queue := []uint32{s}
+	for i := 0; i < len(queue); i++ {
+		adj := g.slots[queue[i]].out
+		if !outgoing {
+			adj = g.slots[queue[i]].in
 		}
-		frontier = next
+		for _, w := range adj {
+			far, _ := unpack(w)
+			if seen[far/64]&(1<<(far%64)) != 0 {
+				continue
+			}
+			seen[far/64] |= 1 << (far % 64)
+			queue = append(queue, far)
+		}
+	}
+	out := make([]string, len(queue)-1)
+	for i, n := range queue[1:] {
+		out[i] = g.slots[n].id
 	}
 	sort.Strings(out)
 	return out
@@ -325,7 +405,7 @@ func (g *Graph) Agents(id string) ([]string, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	for _, n := range anc {
-		if node, ok := g.nodes[n]; ok && node.Kind == NodeAgent {
+		if s, ok := g.index[n]; ok && g.slots[s].kind == NodeAgent {
 			if _, dup := seen[n]; !dup {
 				seen[n] = struct{}{}
 				out = append(out, n)

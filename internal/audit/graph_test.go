@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -203,6 +204,62 @@ func TestGraphJSONExport(t *testing.T) {
 	}
 }
 
+// TestGraphExportsUnchanged pins DOT and JSON output byte for byte, so a
+// change of the graph's representation cannot change what external tools
+// read, and checks that re-appending the same records changes neither.
+func TestGraphExportsUnchanged(t *testing.T) {
+	g := fig11Graph(t)
+	recs := []Record{
+		{Kind: FlowAllowed, Src: "P2", Dst: "P3", DataID: "F5", Agent: "A1",
+			DstCtx: ifc.MustContext([]ifc.Tag{"medical"}, nil)},
+		{Kind: GateCrossing, Src: "P3", Dst: "P4", DataID: "F6"},
+	}
+	const wantDOT = `digraph provenance {
+  "A1" [shape=diamond];
+  "A2" [shape=diamond];
+  "F1" [shape=ellipse];
+  "F2" [shape=ellipse];
+  "F3" [shape=ellipse];
+  "F4" [shape=ellipse];
+  "F5" [shape=ellipse];
+  "F6" [shape=ellipse];
+  "P1" [shape=box];
+  "P2" [shape=box];
+  "P3" [shape=box];
+  "P4" [shape=box];
+  "F3" -> "P1" [label="wasGeneratedBy"];
+  "F4" -> "P2" [label="wasGeneratedBy"];
+  "F5" -> "P3" [label="wasGeneratedBy"];
+  "F6" -> "P4" [label="wasGeneratedBy"];
+  "P1" -> "A1" [label="wasControlledBy"];
+  "P1" -> "F1" [label="used"];
+  "P1" -> "F2" [label="used"];
+  "P2" -> "A1" [label="wasControlledBy"];
+  "P2" -> "A2" [label="wasControlledBy"];
+  "P2" -> "F3" [label="used"];
+  "P2" -> "F5" [label="used"];
+  "P2" -> "P1" [label="wasInformedBy"];
+  "P3" -> "F6" [label="used"];
+  "P3" -> "P2" [label="wasInformedBy"];
+  "P4" -> "P3" [label="wasInformedBy"];
+}
+`
+	const wantJSON = `{"nodes":[{"id":"A1","kind":"agent"},{"id":"A2","kind":"agent"},{"id":"F1","kind":"data"},{"id":"F2","kind":"data"},{"id":"F3","kind":"data"},{"id":"F4","kind":"data"},{"id":"F5","kind":"data"},{"id":"F6","kind":"data"},{"id":"P1","kind":"process"},{"id":"P2","kind":"process"},{"id":"P3","kind":"process","attrs":{"ctx":"S={medical} I=∅"}},{"id":"P4","kind":"process","attrs":{"ctx":"S=∅ I=∅"}}],"edges":[{"src":"F3","dst":"P1","kind":"wasGeneratedBy"},{"src":"F4","dst":"P2","kind":"wasGeneratedBy"},{"src":"F5","dst":"P3","kind":"wasGeneratedBy"},{"src":"F6","dst":"P4","kind":"wasGeneratedBy"},{"src":"P1","dst":"F1","kind":"used"},{"src":"P1","dst":"F2","kind":"used"},{"src":"P1","dst":"A1","kind":"wasControlledBy"},{"src":"P2","dst":"F3","kind":"used"},{"src":"P2","dst":"P1","kind":"wasInformedBy"},{"src":"P2","dst":"A2","kind":"wasControlledBy"},{"src":"P2","dst":"F5","kind":"used"},{"src":"P2","dst":"A1","kind":"wasControlledBy"},{"src":"P3","dst":"P2","kind":"wasInformedBy"},{"src":"P3","dst":"F6","kind":"used"},{"src":"P4","dst":"P3","kind":"wasInformedBy"}]}`
+	for round := 0; round < 2; round++ {
+		g.Append(recs)
+		if got := g.DOT(); got != wantDOT {
+			t.Fatalf("round %d: DOT =\n%s\nwant\n%s", round, got, wantDOT)
+		}
+		js, err := g.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(js) != wantJSON {
+			t.Fatalf("round %d: JSON =\n%s\nwant\n%s", round, js, wantJSON)
+		}
+	}
+}
+
 func TestComplianceReport(t *testing.T) {
 	l := NewLog(testClock())
 	l.Append(flowRecord("a", "b", true))
@@ -236,5 +293,62 @@ func TestNodeEdgeKindStrings(t *testing.T) {
 	}
 	if EdgeKind(9).String() != "EdgeKind(9)" {
 		t.Fatal("unknown edge kind")
+	}
+}
+
+// TestAppendCostPerMessage pins what one flow record costs the graph, in
+// counts: its datum and the datum's two edges, nothing per message for
+// the process and agent relations a stream repeats, and no attribute map
+// once its processes exist.
+func TestAppendCostPerMessage(t *testing.T) {
+	triples := [][3]string{ // (src, dst, agent)
+		{"sensor", "analyser", "hospital"},
+		{"sensor", "archive", "hospital"},
+		{"analyser", "archive", "clinic"},
+		{"archive", "sensor", "clinic"},
+		{"sensor", "analyser", "clinic"},
+	}
+	const n = 1000
+	g := &Graph{}
+	procs, agents := map[string]bool{}, map[string]bool{}
+	flows, controls := map[[2]string]bool{}, map[[2]string]bool{}
+	for i := 0; i < n; i++ {
+		tr := triples[i%len(triples)]
+		g.Append([]Record{{
+			Kind: FlowAllowed, Src: ifc.EntityID(tr[0]), Dst: ifc.EntityID(tr[1]),
+			DataID: "reading-" + strconv.Itoa(i), Agent: ifc.PrincipalID(tr[2]),
+		}})
+		procs[tr[0]], procs[tr[1]], agents[tr[2]] = true, true, true
+		flows[[2]string{tr[0], tr[1]}] = true
+		controls[[2]string{tr[0], tr[2]}] = true
+	}
+	nodes, edges := g.Len()
+	if want := n + len(procs) + len(agents); nodes != want {
+		t.Fatalf("nodes = %d, want %d data + %d processes + %d agents", nodes, n, len(procs), len(agents))
+	}
+	if want := 2*n + len(flows) + len(controls); edges != want {
+		t.Fatalf("edges = %d, want %d data edges + %d informedBy + %d controlledBy",
+			edges, 2*n, len(flows), len(controls))
+	}
+
+	// A record whose processes, agent and datum all exist adds nothing:
+	// no node, no edge, no attribute map.
+	repeat := []Record{{Kind: FlowAllowed, Src: "sensor", Dst: "analyser", DataID: "reading-0", Agent: "hospital"}}
+	if allocs := testing.AllocsPerRun(100, func() { g.Append(repeat) }); allocs != 0 {
+		t.Fatalf("re-appending a known record allocates %.1f times", allocs)
+	}
+	// A record with a new datum over known processes and agent allocates
+	// only that datum's slot, index entry, two edge-set entries and two
+	// one-word adjacency lists, amortized; measured at 2 per record.
+	const runs = 1000
+	fresh := make([][]Record, runs+1)
+	for i := range fresh {
+		fresh[i] = []Record{{Kind: FlowAllowed, Src: "sensor", Dst: "analyser",
+			DataID: "new-" + strconv.Itoa(i), Agent: "hospital"}}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() { g.Append(fresh[next]); next++ })
+	if allocs > 3 {
+		t.Fatalf("appending a record with a new datum allocates %.1f times, want at most 3", allocs)
 	}
 }

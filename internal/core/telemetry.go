@@ -20,6 +20,16 @@ func registerDomainMetrics(d *Domain) {
 	reg.GaugeFunc("audit_ingest_depth",
 		func() float64 { return float64(d.log.IngestDepth()) },
 		"domain", d.name)
+	// The provenance graph is the process's largest live structure; its
+	// size is what an operator watches for growth.
+	reg.GaugeFunc("audit_graph_nodes", func() float64 {
+		nodes, _ := d.prov.Len()
+		return float64(nodes)
+	}, "domain", d.name)
+	reg.GaugeFunc("audit_graph_edges", func() float64 {
+		_, edges := d.prov.Len()
+		return float64(edges)
+	}, "domain", d.name)
 	// The worst rung of the degradation ladder as a number an alert can
 	// threshold on: 0 ok, 1 degraded, 2 failed. Reading it goes through
 	// the fingerprint cache, so a scrape does not rebuild the report.

@@ -73,6 +73,8 @@ check 'exactly like an Engine' \
     'cep.Engine is gone; ShardedEngine is the only engine and its lanes own the patterns'
 check "(cloned|clones|clone) (under the shard|(a|the|each) (shard.s )?(whole )?(routing )?(snapshot|index))|copies all four maps" \
     'a routing mutation copies only the buckets it writes (per-bucket copy-on-write), never the whole snapshot'
+check 'advances on every AddEdge' \
+    'the provenance epoch advances only when the edge set changes; re-adding a present edge is a no-op'
 
 if [ "$fail" -eq 0 ]; then
     echo "docs-freshness: OK"
