@@ -15,15 +15,15 @@ import (
 func writeLog(t *testing.T) string {
 	t.Helper()
 	l := audit.NewLog(nil)
-	l.Append(audit.Record{
+	l.AppendAsync(audit.Record{
 		Kind: audit.FlowAllowed, Layer: audit.LayerMessaging,
 		Src: "sensor", Dst: "analyser", DataID: "r1", Agent: ifc.PrincipalID("hospital"),
 	})
-	l.Append(audit.Record{
+	l.AppendAsync(audit.Record{
 		Kind: audit.FlowDenied, Layer: audit.LayerMessaging,
 		Src: "sensor", Dst: "advertiser", DataID: "r1", Note: "IFC denial",
 	})
-	l.Append(audit.Record{Kind: audit.BreakGlass, Note: "override"})
+	l.AppendAsync(audit.Record{Kind: audit.BreakGlass, Note: "override"})
 	data, err := audit.ExportJSON(l)
 	if err != nil {
 		t.Fatal(err)
@@ -127,16 +127,16 @@ func writeStore(t *testing.T) string {
 	if err := s.AttachLog(l); err != nil {
 		t.Fatal(err)
 	}
-	l.Append(audit.Record{
+	l.AppendAsync(audit.Record{
 		Kind: audit.FlowAllowed, Layer: audit.LayerMessaging,
 		Src: "sensor", Dst: "analyser", DataID: "r1", Agent: ifc.PrincipalID("hospital"),
 	})
-	l.Append(audit.Record{
+	l.AppendAsync(audit.Record{
 		Kind: audit.FlowDenied, Layer: audit.LayerMessaging,
 		Src: "sensor", Dst: "advertiser", DataID: "r1", Note: "IFC denial",
 	})
 	for i := 0; i < 10; i++ {
-		l.Append(audit.Record{
+		l.AppendAsync(audit.Record{
 			Kind: audit.FlowAllowed, Layer: audit.LayerMessaging,
 			Src: "analyser", Dst: "archive", DataID: "r1", Note: "padding so segments rotate",
 		})

@@ -256,11 +256,11 @@ func TestIntegrationDistributedAuditCollection(t *testing.T) {
 	thing := audit.NewLog(nil)
 	thing.AddSink(func(r audit.Record) {
 		r.Domain = "collected-from-thing"
-		collector.Append(r)
+		collector.AppendAsync(r)
 	})
 
 	for i := 0; i < 20; i++ {
-		thing.Append(audit.Record{Kind: audit.FlowAllowed, Src: "s", Dst: "d", DataID: "x"})
+		thing.AppendAsync(audit.Record{Kind: audit.FlowAllowed, Src: "s", Dst: "d", DataID: "x"})
 	}
 	// The thing offloads and prunes its first 15 records.
 	segment := thing.Prune(15)

@@ -32,20 +32,22 @@ func TestAppendAsyncChainsInOrder(t *testing.T) {
 	}
 }
 
-// TestAppendAsyncInterleavesWithSyncAppend mixes both ingest paths: the
-// synchronous path flushes first, so its record lands after everything
-// already enqueued, and the combined chain verifies.
-func TestAppendAsyncInterleavesWithSyncAppend(t *testing.T) {
+// TestAppendAsyncInterleavesAcrossLanes states the ticket-order contract
+// for a control record staged behind a backlog: it takes the next ticket,
+// so it commits after everything staged before it on any lane, and the
+// combined chain verifies.
+func TestAppendAsyncInterleavesAcrossLanes(t *testing.T) {
 	l := NewLog(testClock())
+	l.SetStagingLanes(4)
 	for i := 0; i < 10; i++ {
-		l.AppendAsync(flowRecord("async", "x", true))
+		l.AppendAsyncOn(i, flowRecord("flow", "x", true), nil)
 	}
-	r := l.Append(flowRecord("sync", "y", true))
+	r := commit(t, l, Record{Kind: Reconfiguration, Note: "control"})
 	if r.Seq != 10 {
-		t.Fatalf("sync append seq = %d, want 10 (after the enqueued batch)", r.Seq)
+		t.Fatalf("control record seq = %d, want 10 (after the staged backlog)", r.Seq)
 	}
 	if r.Hash == ([32]byte{}) {
-		t.Fatal("sync append returned an unhashed record")
+		t.Fatal("committed record is unhashed")
 	}
 	if bad, err := l.Verify(); err != nil || bad != -1 {
 		t.Fatalf("Verify = %d, %v", bad, err)
@@ -61,7 +63,7 @@ func TestAsyncTamperDetected(t *testing.T) {
 	}
 	l.Flush()
 	l.mu.Lock()
-	l.records[17].Note = "doctored"
+	l.at(17).Note = "doctored"
 	l.mu.Unlock()
 	bad, err := l.Verify()
 	if !errors.Is(err, ErrChainBroken) || bad != 17 {
@@ -100,7 +102,7 @@ func TestAsyncSinkForwarding(t *testing.T) {
 	thing := NewLog(testClock())
 	thing.AddSink(func(r Record) {
 		r.Domain = "collected"
-		collector.Append(r)
+		collector.AppendAsync(r)
 	})
 	for i := 0; i < 20; i++ {
 		thing.AppendAsync(flowRecord("a", "b", true))
@@ -114,12 +116,13 @@ func TestAsyncSinkForwarding(t *testing.T) {
 	}
 }
 
-// TestZeroValueLog: the documented zero-value readiness, on both paths.
+// TestZeroValueLog: the documented zero-value readiness — staging on a
+// zero Log installs its lane, and tickets still order the chain.
 func TestZeroValueLog(t *testing.T) {
 	var l Log
 	l.AppendAsync(flowRecord("a", "b", true))
-	r := l.Append(flowRecord("b", "c", true))
-	if r.Seq != 1 || r.Time.IsZero() {
+	r := commit(t, &l, flowRecord("b", "c", true))
+	if r.Seq != 1 || r.Time.IsZero() || r.Src != "b" {
 		t.Fatalf("zero-value log append = %+v", r)
 	}
 	if bad, err := l.Verify(); err != nil || bad != -1 {

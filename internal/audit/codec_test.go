@@ -16,8 +16,8 @@ func FuzzDecodeRecordBinary(f *testing.F) {
 	r.SrcCtx = ifc.MustContext([]ifc.Tag{"medical", "ann"}, nil)
 	r.DstCtx = ifc.MustContext([]ifc.Tag{"medical", "ann"}, []ifc.Tag{"hosp"})
 	r.Agent, r.Note, r.TraceID = "hospital", "ok", "00000000000000010000000000000002"
-	first := l.Append(r)
-	second := l.Append(flowRecord("bob-sensor", "bob-analyser", false))
+	first := commit(f, l, r)
+	second := commit(f, l, flowRecord("bob-sensor", "bob-analyser", false))
 	second.Redacted = true
 	for _, rec := range []Record{first, second} {
 		buf := AppendRecordBinary(nil, &rec)

@@ -16,11 +16,18 @@
 // under the chain lock — chain-head assignment stays serialized, which
 // is what makes the chain a total order — and delivers each committed
 // batch to the registered sinks in sequence. Tickets are issued under
-// the lane lock, so one goroutine's appends can never commit out of
-// program order, and Flush's watermark (tickets issued vs records
-// committed) is exact. Append remains the synchronous path for records
-// whose sequence number the caller needs immediately; SetStagingLanes
-// grows the lane set (the sharded bus sizes it to its shard count).
+// the lane lock, and the hasher holds every lane lock while it swaps the
+// buffers out, so each batch is a contiguous ticket range: one
+// goroutine's appends can never commit out of program order, whatever
+// lanes it mixes, and Flush's watermark (tickets issued vs records
+// committed) is exact. Committed records are kept in fixed-size chunks,
+// so a commit never copies earlier records and Prune releases whole
+// chunks. Staging is the only ingest path: control records
+// (policy actions, channel changes, obligations) stage beside flow
+// records on lane 0 and commit after everything staged before them, so
+// a reconfiguration never waits for the data plane's evidence backlog.
+// SetStagingLanes grows the lane set (the sharded bus sizes it to its
+// shard count).
 //
 // # Incremental provenance
 //

@@ -6,8 +6,8 @@ import (
 
 func TestExportImportRoundTrip(t *testing.T) {
 	l := NewLog(testClock())
-	l.Append(flowRecord("a", "b", true))
-	l.Append(flowRecord("b", "c", false))
+	l.AppendAsync(flowRecord("a", "b", true))
+	l.AppendAsync(flowRecord("b", "c", false))
 
 	data, err := ExportJSON(l)
 	if err != nil {
@@ -51,7 +51,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 func TestPrunedSegmentExportImportVerify(t *testing.T) {
 	l := NewLog(testClock())
 	for i := 0; i < 6; i++ {
-		l.Append(flowRecord("a", "b", i%2 == 0))
+		l.AppendAsync(flowRecord("a", "b", i%2 == 0))
 	}
 	segment := l.Prune(4)
 	if len(segment) != 4 {

@@ -129,12 +129,12 @@ func TestGraphLen(t *testing.T) {
 
 func TestBuildGraphFromLog(t *testing.T) {
 	l := NewLog(testClock())
-	l.Append(Record{
+	l.AppendAsync(Record{
 		Kind: FlowAllowed, Src: "sensor", Dst: "analyser",
 		DataID: "reading-1", Agent: ifc.PrincipalID("hospital"),
 	})
-	l.Append(Record{Kind: FlowDenied, Src: "sensor", Dst: "advertiser", DataID: "reading-1"})
-	l.Append(Record{Kind: FlowAllowed, Src: "analyser", Dst: "archive", DataID: "reading-1"})
+	l.AppendAsync(Record{Kind: FlowDenied, Src: "sensor", Dst: "advertiser", DataID: "reading-1"})
+	l.AppendAsync(Record{Kind: FlowAllowed, Src: "analyser", Dst: "archive", DataID: "reading-1"})
 
 	g := BuildGraph(l.Select(nil))
 
@@ -262,9 +262,9 @@ func TestGraphExportsUnchanged(t *testing.T) {
 
 func TestComplianceReport(t *testing.T) {
 	l := NewLog(testClock())
-	l.Append(flowRecord("a", "b", true))
-	l.Append(flowRecord("a", "x", false))
-	l.Append(Record{Kind: BreakGlass, Src: "policy-engine", Note: "emergency override"})
+	l.AppendAsync(flowRecord("a", "b", true))
+	l.AppendAsync(flowRecord("a", "x", false))
+	l.AppendAsync(Record{Kind: BreakGlass, Src: "policy-engine", Note: "emergency override"})
 
 	rep := Report(l)
 	if rep.Total != 3 {

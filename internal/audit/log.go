@@ -31,16 +31,14 @@ var (
 // for distributed audit?"), retaining the chain head so continuity remains
 // checkable.
 //
-// Ingest has two paths. Append hashes and commits synchronously and
-// returns the completed record. AppendAsync — the enforcement hot path —
-// stages the record into a bounded per-lane buffer and returns
-// immediately; a background hasher goroutine collects the staged lanes,
-// merges them by arrival ticket, and commits the batch, assigning
-// sequence numbers and chaining hashes. Flush blocks until every staged
-// record is committed. Every read-side method (Len, Get, Select, Verify,
-// HeadHash, Prune) flushes first, so observers always see a complete,
-// verifiable chain; the tamper-evidence guarantees are identical on both
-// paths.
+// Ingest has one path. AppendAsyncOn stages the record into a bounded
+// per-lane buffer and returns; a background hasher goroutine collects the
+// staged lanes, merges them by arrival ticket, and commits the batch,
+// assigning sequence numbers and chaining hashes. Flush blocks until
+// every record staged before the call is committed. Every read-side
+// method (Len, Get, Select, Verify, HeadHash, Checkpoint, Prune) flushes
+// first, so observers always see a complete, verifiable chain. A caller
+// that needs its committed record stages it, then reads it back.
 //
 // Staging is sharded: SetStagingLanes(n) gives the log n independent
 // staging buffers, each behind its own lock, so concurrent producers
@@ -50,30 +48,35 @@ var (
 // assigns Seq/PrevHash/Hash, in arrival-ticket order — so the sharded
 // staging changes who waits where, never what the chain looks like:
 // records staged by one goroutine always commit in that goroutine's
-// program order, whatever lane mix it used.
+// program order, whatever lane mix it used, and after every record any
+// goroutine staged before it.
 //
 // The zero value is ready to use (one staging lane).
 type Log struct {
-	mu      sync.Mutex
-	records []Record
-	// firstSeq is the sequence number of records[0]; it advances on prune.
+	mu sync.Mutex
+	// chunks hold the retained records in seq order, chunkLen to a chunk;
+	// chunk i starts at seq base+i*chunkLen. A commit fills the last chunk
+	// or starts a new one, so committing never copies earlier records, and
+	// Prune releases whole chunks.
+	chunks [][]Record
+	base   uint64
+	// firstSeq is the sequence number of the first retained record; it
+	// advances on prune.
 	firstSeq uint64
 	nextSeq  uint64
 	// lastHash is the hash of the most recent record (or the pruned
 	// checkpoint's hash).
 	lastHash [32]byte
 	now      func() time.Time
-	// sinks receive a copy of each appended record (e.g. a domain-wide
-	// collector, or a durable store). They must not block for long, and
-	// must not call back into this log's blocking methods (Append, Flush
-	// or any read-side method): async-path sinks run on the hasher
-	// goroutine, where such a call would self-deadlock. Appending to a
-	// *different* log is fine.
+	// sinks receive a copy of each committed record (e.g. a domain-wide
+	// collector, or a durable store), in chain order. They run only on the
+	// hasher goroutine, one batch at a time, so they are never entered
+	// concurrently. They must not block for long, and must not append to
+	// or read this log: a Flush or read-side call would wait on the
+	// hasher itself, and an append can block on lane backpressure that
+	// only the hasher relieves — either way a self-deadlock. Appending to
+	// a *different* log is fine.
 	sinks []func(Record)
-	// sinkMu serialises commit+deliver so sinks observe records in exactly
-	// chain order even under concurrent Append calls — durable sinks
-	// (internal/store) rely on this to persist a contiguous chain.
-	sinkMu sync.Mutex
 
 	// lanes holds the per-shard staging buffers (lazily a single lane for
 	// zero-value logs; see SetStagingLanes).
@@ -92,6 +95,12 @@ type Log struct {
 	flushMu   sync.Mutex
 	flushCond *sync.Cond
 	completed uint64
+
+	// spare and batch belong to the hasher goroutine: the buffers it
+	// handed back to the lanes at the last collection, and the merged
+	// batch. Reusing them keeps staging from regrowing a buffer per batch.
+	spare [][]staged
+	batch []staged
 }
 
 // A staged record is one AppendAsync payload parked in a lane buffer with
@@ -146,37 +155,15 @@ func (l *Log) clock() time.Time {
 	return l.now()
 }
 
-// AddSink registers a callback invoked for each appended record (on the
-// appending goroutine for Append, on the hasher goroutine for AppendAsync).
-// Sinks enable hierarchical collection: a thing's log forwards into its
-// domain's log. See the Log doc comment for what sinks must not do.
+// AddSink registers a callback invoked for each committed record, on the
+// hasher goroutine. Sinks enable hierarchical collection: a thing's log
+// forwards into its domain's log. See the sinks field for what a sink
+// must not do.
 func (l *Log) AddSink(sink func(Record)) {
 	l.Flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.sinks = append(l.sinks, sink)
-}
-
-// Append adds a record synchronously, assigning its sequence number,
-// timestamp (when zero) and chained hash, and returns the completed record.
-// Any records already enqueued via AppendAsync are committed first, so the
-// chain reflects arrival order.
-func (l *Log) Append(r Record) Record {
-	l.Flush()
-	if r.Time.IsZero() {
-		r.Time = l.clock()
-	}
-	l.sinkMu.Lock()
-	l.mu.Lock()
-	l.commitLocked(&r)
-	sinks := l.sinks
-	l.mu.Unlock()
-
-	for _, s := range sinks {
-		s(r)
-	}
-	l.sinkMu.Unlock()
-	return r
 }
 
 // SetStagingLanes resizes the async staging tier to n independent lanes
@@ -317,21 +304,40 @@ func (l *Log) flushCondLocked() *sync.Cond {
 	return l.flushCond
 }
 
-// collectStaged swaps out every lane's staged buffer, wakes producers
-// blocked on lane backpressure, and returns the batch merged into
-// arrival-ticket order — the order the chain will record.
+// collectStaged swaps out every lane's staged buffer for an empty one,
+// wakes producers blocked on lane backpressure, and returns the batch
+// merged into arrival-ticket order — the order the chain will record.
+// Every lane's lock is held across the swap: a ticket is taken and staged
+// under one lane lock, so with all of them held every ticket issued so far
+// is in some buffer, and each batch is the next contiguous ticket range.
+// Swapping lane by lane could take a later ticket from one lane before an
+// earlier one landed in a lane already visited, and commit it first.
 func (l *Log) collectStaged() []staged {
 	lanes := *l.getLanes()
-	var batch []staged
+	if len(l.spare) != len(lanes) {
+		l.spare = make([][]staged, len(lanes))
+	}
+	for i := range lanes {
+		lanes[i].mu.Lock()
+	}
+	batch := l.batch[:0]
 	for i := range lanes {
 		ln := &lanes[i]
-		ln.mu.Lock()
 		if len(ln.buf) > 0 {
-			batch = append(batch, ln.buf...)
-			ln.buf = nil
+			l.spare[i], ln.buf = ln.buf, l.spare[i][:0]
+			batch = append(batch, l.spare[i]...)
 			ln.condLocked().Broadcast() // release writers blocked on backpressure
 		}
-		ln.mu.Unlock()
+	}
+	l.batch = batch
+	if len(batch) == 0 {
+		// Nothing is staged and no producer can stage until the locks are
+		// released, so this hasher stops here: a later append sees the flag
+		// clear and starts a new one, which owns spare and batch from then.
+		l.draining.Store(false)
+	}
+	for i := range lanes {
+		lanes[i].mu.Unlock()
 	}
 	// Each lane's contribution is already ticket-sorted (tickets are taken
 	// under the lane lock), so this is a k-way merge; sort.Slice keeps it
@@ -340,42 +346,20 @@ func (l *Log) collectStaged() []staged {
 	return batch
 }
 
-// anyStaged reports whether any lane holds staged records.
-func (l *Log) anyStaged() bool {
-	lanes := *l.getLanes()
-	for i := range lanes {
-		ln := &lanes[i]
-		ln.mu.Lock()
-		n := len(ln.buf)
-		ln.mu.Unlock()
-		if n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // drain is the background hasher: it repeatedly collects the staged lanes
 // into one ticket-ordered batch and commits it under the chain lock, then
-// exits once every lane stays empty. Chain head assignment happens only
-// here — staging is sharded, sequencing is not.
+// exits once a collection finds every lane empty. Chain head assignment
+// happens only here — staging is sharded, sequencing is not.
 func (l *Log) drain() {
 	for {
 		batch := l.collectStaged()
 		if len(batch) == 0 {
-			l.draining.Store(false)
-			// A producer may have staged between the collect and the flag
-			// store; re-arm and keep draining if we win the flag back.
-			if !l.anyStaged() || !l.draining.CompareAndSwap(false, true) {
-				return
-			}
-			continue
+			return // collectStaged cleared draining
 		}
 
 		if act := fpSinkStall.Check(); act != nil {
 			act.Wait()
 		}
-		l.sinkMu.Lock()
 		l.mu.Lock()
 		for i := range batch {
 			l.commitLocked(&batch[i].rec)
@@ -392,7 +376,6 @@ func (l *Log) drain() {
 				s(batch[i].rec)
 			}
 		}
-		l.sinkMu.Unlock()
 
 		l.flushMu.Lock()
 		l.completed += uint64(len(batch))
@@ -401,14 +384,39 @@ func (l *Log) drain() {
 	}
 }
 
+// chunkLen is the number of records per chunk of the retained tail.
+const chunkLen = 4096
+
 // commitLocked assigns seq, chains and stores one record; l.mu must be held.
 func (l *Log) commitLocked(r *Record) {
 	r.Seq = l.nextSeq
 	r.PrevHash = l.lastHash
 	r.Hash = computeHash(r)
-	l.records = append(l.records, *r)
+	n := len(l.chunks)
+	if n == 0 {
+		l.base = l.nextSeq
+	}
+	if n == 0 || len(l.chunks[n-1]) == chunkLen {
+		// The first chunk grows as it fills, so a log that commits a
+		// handful of records never pays for a whole chunk; once one has
+		// filled, the next is allocated whole.
+		var c []Record
+		if n > 0 {
+			c = make([]Record, 0, chunkLen)
+		}
+		l.chunks = append(l.chunks, c)
+		n++
+	}
+	l.chunks[n-1] = append(l.chunks[n-1], *r)
 	l.nextSeq++
 	l.lastHash = r.Hash
+}
+
+// at returns the retained record with the given sequence number, which
+// the caller has checked lies in [firstSeq, nextSeq); l.mu must be held.
+func (l *Log) at(seq uint64) *Record {
+	i := seq - l.base
+	return &l.chunks[i/chunkLen][i%chunkLen]
 }
 
 // Restore primes an empty log with a recovery checkpoint: the next
@@ -422,7 +430,7 @@ func (l *Log) Restore(nextSeq uint64, lastHash [32]byte) error {
 	l.Flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.nextSeq != 0 || len(l.records) != 0 {
+	if l.nextSeq != 0 || len(l.chunks) != 0 {
 		return errors.New("audit: Restore on a log that already has records")
 	}
 	l.firstSeq = nextSeq
@@ -447,7 +455,7 @@ func (l *Log) Len() int {
 	l.Flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.records)
+	return int(l.nextSeq - l.firstSeq)
 }
 
 // HeadHash returns the hash of the latest record.
@@ -466,11 +474,10 @@ func (l *Log) Get(seq uint64) (Record, error) {
 	if seq < l.firstSeq {
 		return Record{}, fmt.Errorf("%w: seq %d < first retained %d", ErrPruned, seq, l.firstSeq)
 	}
-	idx := seq - l.firstSeq
-	if idx >= uint64(len(l.records)) {
+	if seq >= l.nextSeq {
 		return Record{}, fmt.Errorf("audit: seq %d beyond head %d", seq, l.nextSeq)
 	}
-	return l.records[idx], nil
+	return *l.at(seq), nil
 }
 
 // Select returns a copy of all retained records matching the filter; a nil
@@ -479,10 +486,10 @@ func (l *Log) Select(filter func(Record) bool) []Record {
 	l.Flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Record, 0, len(l.records))
-	for _, r := range l.records {
-		if filter == nil || filter(r) {
-			out = append(out, r)
+	out := make([]Record, 0, l.nextSeq-l.firstSeq)
+	for seq := l.firstSeq; seq < l.nextSeq; seq++ {
+		if r := l.at(seq); filter == nil || filter(*r) {
+			out = append(out, *r)
 		}
 	}
 	return out
@@ -498,9 +505,9 @@ func (l *Log) Verify() (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	prev := [32]byte{}
-	for i := range l.records {
-		r := l.records[i]
-		if i == 0 {
+	for seq := l.firstSeq; seq < l.nextSeq; seq++ {
+		r := *l.at(seq)
+		if seq == l.firstSeq {
 			prev = r.PrevHash // trust the checkpoint after pruning
 		}
 		if r.PrevHash != prev {
@@ -533,12 +540,11 @@ func (l *Log) Redact(seq uint64, note string) error {
 	if seq < l.firstSeq {
 		return fmt.Errorf("%w: seq %d < first retained %d", ErrPruned, seq, l.firstSeq)
 	}
-	idx := seq - l.firstSeq
-	if idx >= uint64(len(l.records)) {
+	if seq >= l.nextSeq {
 		return fmt.Errorf("audit: seq %d beyond head %d", seq, l.nextSeq)
 	}
-	if !l.records[idx].Redacted {
-		l.records[idx] = l.records[idx].Redact(note)
+	if r := l.at(seq); !r.Redacted {
+		*r = r.Redact(note)
 	}
 	return nil
 }
@@ -554,15 +560,11 @@ func (l *Log) RedactMany(seqs []uint64, note string) int {
 	defer l.mu.Unlock()
 	n := 0
 	for _, seq := range seqs {
-		if seq < l.firstSeq {
+		if seq < l.firstSeq || seq >= l.nextSeq {
 			continue
 		}
-		idx := seq - l.firstSeq
-		if idx >= uint64(len(l.records)) {
-			continue
-		}
-		if !l.records[idx].Redacted {
-			l.records[idx] = l.records[idx].Redact(note)
+		if r := l.at(seq); !r.Redacted {
+			*r = r.Redact(note)
 			n++
 		}
 	}
@@ -582,10 +584,19 @@ func (l *Log) Prune(upto uint64) []Record {
 	if upto > l.nextSeq {
 		upto = l.nextSeq
 	}
-	n := upto - l.firstSeq
-	segment := make([]Record, n)
-	copy(segment, l.records[:n])
-	l.records = append([]Record(nil), l.records[n:]...)
+	segment := make([]Record, 0, upto-l.firstSeq)
+	for seq := l.firstSeq; seq < upto; seq++ {
+		segment = append(segment, *l.at(seq))
+	}
+	// Release every chunk wholly below upto, and the pruned records in the
+	// chunk that is now first.
+	drop := (upto - l.base) / chunkLen
+	clear(l.chunks[:drop])
+	l.chunks = l.chunks[drop:]
+	l.base += drop * chunkLen
+	if len(l.chunks) > 0 {
+		clear(l.chunks[0][:upto-l.base])
+	}
 	l.firstSeq = upto
 	return segment
 }

@@ -28,10 +28,23 @@ func flowRecord(src, dst ifc.EntityID, allowed bool) Record {
 	}
 }
 
+// commit stages r and returns it as committed. Checkpoint flushes, so in
+// a single-producer test the newest record is r.
+func commit(t testing.TB, l *Log, r Record) Record {
+	t.Helper()
+	l.AppendAsync(r)
+	next, _ := l.Checkpoint()
+	got, err := l.Get(next - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestLogAppendAssignsSequenceAndChain(t *testing.T) {
 	l := NewLog(testClock())
-	r1 := l.Append(flowRecord("a", "b", true))
-	r2 := l.Append(flowRecord("b", "c", true))
+	r1 := commit(t, l, flowRecord("a", "b", true))
+	r2 := commit(t, l, flowRecord("b", "c", true))
 
 	if r1.Seq != 0 || r2.Seq != 1 {
 		t.Fatalf("seqs = %d, %d", r1.Seq, r2.Seq)
@@ -53,11 +66,12 @@ func TestLogAppendAssignsSequenceAndChain(t *testing.T) {
 func TestLogDetectsTampering(t *testing.T) {
 	l := NewLog(testClock())
 	for i := 0; i < 10; i++ {
-		l.Append(flowRecord("a", "b", true))
+		l.AppendAsync(flowRecord("a", "b", true))
 	}
+	l.Flush()
 	// Reach into the log and modify a record (simulated attacker).
 	l.mu.Lock()
-	l.records[4].Note = "doctored"
+	l.at(4).Note = "doctored"
 	l.mu.Unlock()
 
 	bad, err := l.Verify()
@@ -72,17 +86,18 @@ func TestLogDetectsTampering(t *testing.T) {
 func TestLogDetectsRelink(t *testing.T) {
 	l := NewLog(testClock())
 	for i := 0; i < 5; i++ {
-		l.Append(flowRecord("a", "b", true))
+		l.AppendAsync(flowRecord("a", "b", true))
 	}
+	l.Flush()
 	// Replace a record wholesale with a self-consistent one: linkage to the
 	// successor must still break.
 	l.mu.Lock()
 	forged := flowRecord("x", "y", true)
 	forged.Seq = 2
 	forged.Time = time.Unix(1, 0)
-	forged.PrevHash = l.records[1].Hash
+	forged.PrevHash = l.at(1).Hash
 	forged.Hash = computeHash(&forged)
-	l.records[2] = forged
+	*l.at(2) = forged
 	l.mu.Unlock()
 
 	bad, err := l.Verify()
@@ -96,9 +111,9 @@ func TestLogDetectsRelink(t *testing.T) {
 
 func TestLogGetAndSelect(t *testing.T) {
 	l := NewLog(testClock())
-	l.Append(flowRecord("a", "b", true))
-	l.Append(flowRecord("m", "n", false))
-	l.Append(flowRecord("x", "y", true))
+	l.AppendAsync(flowRecord("a", "b", true))
+	l.AppendAsync(flowRecord("m", "n", false))
+	l.AppendAsync(flowRecord("x", "y", true))
 
 	r, err := l.Get(1)
 	if err != nil {
@@ -122,7 +137,7 @@ func TestLogGetAndSelect(t *testing.T) {
 func TestLogPruneAndOffload(t *testing.T) {
 	l := NewLog(testClock())
 	for i := 0; i < 10; i++ {
-		l.Append(flowRecord("a", "b", true))
+		l.AppendAsync(flowRecord("a", "b", true))
 	}
 	segment := l.Prune(6)
 	if len(segment) != 6 {
@@ -162,10 +177,67 @@ func TestLogPruneAndOffload(t *testing.T) {
 	}
 }
 
+// TestLogPruneAcrossChunks prunes a log spanning several record chunks —
+// mid-chunk, on a chunk boundary, and down to empty — checking after each
+// cut that the segment is exactly the pruned range, the retained records
+// answer Get/Select/Redact by seq, the chain verifies across the boundary,
+// and appending continues it.
+func TestLogPruneAcrossChunks(t *testing.T) {
+	l := NewLog(testClock())
+	stage := func(n int) {
+		for i := 0; i < n; i++ {
+			l.AppendAsync(flowRecord("a", "b", true))
+		}
+	}
+	stage(3*chunkLen + 17)
+	first := uint64(0)
+	for _, upto := range []uint64{100, chunkLen, 2*chunkLen + 5, 3*chunkLen + 17} {
+		seg := l.Prune(upto)
+		if uint64(len(seg)) != upto-first || seg[0].Seq != first || seg[len(seg)-1].Seq != upto-1 {
+			t.Fatalf("Prune(%d) returned %d records from %d", upto, len(seg), seg[0].Seq)
+		}
+		if err := VerifySegment(seg, nil); err != nil {
+			t.Fatalf("Prune(%d) segment: %v", upto, err)
+		}
+		first = upto
+		next, _ := l.Checkpoint()
+		if got := uint64(l.Len()); got != next-upto {
+			t.Fatalf("after Prune(%d): Len %d, want %d", upto, got, next-upto)
+		}
+		if _, err := l.Get(upto - 1); !errors.Is(err, ErrPruned) {
+			t.Fatalf("Get(%d) after Prune(%d) = %v, want ErrPruned", upto-1, upto, err)
+		}
+		for _, r := range l.Select(nil) {
+			if got, err := l.Get(r.Seq); err != nil || got.Hash != r.Hash {
+				t.Fatalf("Get(%d) disagrees with Select: %v", r.Seq, err)
+			}
+		}
+		stage(chunkLen / 2)
+		if recs := l.Select(nil); recs[0].Seq != upto {
+			t.Fatalf("after Prune(%d) the first retained record is %d", upto, recs[0].Seq)
+		} else if err := VerifySegment(seg, &recs[0]); err != nil {
+			t.Fatalf("retained chain does not follow Prune(%d): %v", upto, err)
+		}
+		if err := l.Redact(upto+1, "erased"); err != nil {
+			t.Fatal(err)
+		}
+		if bad, err := l.Verify(); err != nil {
+			t.Fatalf("after Prune(%d): chain broken at %d: %v", upto, bad, err)
+		}
+	}
+	// Down to empty, then the chain continues from the pruned head.
+	next, head := l.Checkpoint()
+	l.Prune(next)
+	r := commit(t, l, flowRecord("c", "d", true))
+	if l.Len() != 1 || r.Seq != next || r.PrevHash != head {
+		t.Fatalf("append after emptying: len %d, seq %d (want %d), linked %v", l.Len(), r.Seq, next, r.PrevHash == head)
+	}
+}
+
 func TestVerifySegmentBreaks(t *testing.T) {
 	l := NewLog(testClock())
 	for i := 0; i < 4; i++ {
-		l.Append(flowRecord("a", "b", true))
+		l.AppendAsync(flowRecord("a", "b", true))
 	}
 	seg := l.Prune(4)
 	// Break internal linkage.
@@ -183,10 +255,11 @@ func TestLogSinkForwarding(t *testing.T) {
 	thingLog := NewLog(testClock())
 	thingLog.AddSink(func(r Record) {
 		r.Domain = "collected"
-		domainLog.Append(r)
+		domainLog.AppendAsync(r)
 	})
-	thingLog.Append(flowRecord("a", "b", true))
-	thingLog.Append(flowRecord("c", "d", false))
+	thingLog.AppendAsync(flowRecord("a", "b", true))
+	thingLog.AppendAsync(flowRecord("c", "d", false))
+	thingLog.Flush() // sinks run on the thing log's hasher
 
 	if domainLog.Len() != 2 {
 		t.Fatalf("domain log has %d records", domainLog.Len())
@@ -209,7 +282,7 @@ func TestLogConcurrentAppend(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				l.Append(flowRecord("a", "b", true))
+				l.AppendAsync(flowRecord("a", "b", true))
 			}
 		}()
 	}

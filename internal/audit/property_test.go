@@ -33,14 +33,14 @@ func TestPropertyChainDetectsAnyMutation(t *testing.T) {
 		n := int(nRaw%16) + 2 // 2..17 records
 		l := NewLog(testClock())
 		for i := 0; i < n; i++ {
-			l.Append(randomRecord(r))
+			l.AppendAsync(randomRecord(r))
 		}
 		if bad, err := l.Verify(); err != nil || bad != -1 {
 			return false // untampered log must verify
 		}
 		victim := int(victimRaw) % n
 		l.mu.Lock()
-		rec := &l.records[victim]
+		rec := l.at(uint64(victim))
 		switch fieldRaw % 5 {
 		case 0:
 			rec.Note += "!"
@@ -75,7 +75,7 @@ func TestPropertyPruneKeepsVerifiability(t *testing.T) {
 		cut := uint64(cutRaw) % uint64(n)
 		l := NewLog(testClock())
 		for i := 0; i < n; i++ {
-			l.Append(randomRecord(r))
+			l.AppendAsync(randomRecord(r))
 		}
 		segment := l.Prune(cut)
 		if err := VerifySegment(segment, nil); err != nil {
@@ -107,7 +107,7 @@ func TestPropertyExportImportPreservesChain(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		l := NewLog(testClock())
 		for i := 0; i < int(nRaw%10)+1; i++ {
-			l.Append(randomRecord(r))
+			l.AppendAsync(randomRecord(r))
 		}
 		data, err := ExportJSON(l)
 		if err != nil {

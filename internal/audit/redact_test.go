@@ -10,7 +10,7 @@ func redactTestLog(t *testing.T, n int) *Log {
 	t.Helper()
 	l := NewLog(nil)
 	for i := 0; i < n; i++ {
-		l.Append(Record{
+		l.AppendAsync(Record{
 			Kind: FlowAllowed, Layer: LayerMessaging, Domain: "d",
 			Src: "sensor", Dst: "analyser", DataID: "datum", Note: "delivered",
 		})

@@ -7,16 +7,17 @@ import (
 )
 
 // TestStagingLanesChainOrder drives concurrent per-lane staging — G
-// goroutines, each appending a numbered sequence into its own lane — and
-// checks the three properties the merge must preserve: nothing is lost,
-// the hash chain verifies, and each goroutine's records appear in its
-// own program order (tickets are taken under the lane lock, so a
-// goroutine's later append can never commit before its earlier one).
+// goroutines, each appending a numbered sequence and moving to the next
+// lane on every append — and checks the three properties the merge must
+// preserve: nothing is lost, the hash chain verifies, and each
+// goroutine's records appear in its own program order. A goroutine that
+// mixes lanes is the hard case: the hasher must never commit its later
+// ticket from one lane before an earlier one still landing in another.
 func TestStagingLanesChainOrder(t *testing.T) {
 	const (
 		lanes = 8
 		gs    = 8
-		per   = 200
+		per   = 2000
 	)
 	l := NewLog(nil)
 	l.SetStagingLanes(lanes)
@@ -27,7 +28,7 @@ func TestStagingLanesChainOrder(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				l.AppendAsyncOn(g%lanes, Record{
+				l.AppendAsyncOn((g+i)%lanes, Record{
 					Kind: FlowAllowed, Layer: LayerMessaging,
 					Note: fmt.Sprintf("g%d-%d", g, i),
 				}, nil)

@@ -363,7 +363,7 @@ func (d *Domain) LoadPolicy(src string) error {
 		return err
 	}
 	d.eng.Load(set)
-	d.log.Append(audit.Record{
+	d.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerPolicy, Domain: d.name,
 		Note: fmt.Sprintf("policy loaded: %d rules, %d obligations", len(set.Rules), len(set.Obligations)),
 	})
@@ -437,7 +437,7 @@ func (d *Domain) Conflicts() []policy.Conflict {
 
 // auditPolicyError records a failed policy evaluation or action.
 func (d *Domain) auditPolicyError(e policy.Error) {
-	d.log.Append(audit.Record{
+	d.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerPolicy, Domain: d.name,
 		Agent: PolicyEnginePrincipal, Note: "policy error: " + e.Error(),
 	})
@@ -452,7 +452,7 @@ func (d *Domain) execute(a policy.Action) error {
 		d.alerts = append(d.alerts, x.Message)
 		cb := d.onAlert
 		d.mu.Unlock()
-		d.log.Append(audit.Record{
+		d.log.AppendAsync(audit.Record{
 			Kind: audit.Reconfiguration, Layer: audit.LayerPolicy, Domain: d.name,
 			Agent: PolicyEnginePrincipal, Note: "alert: " + x.Message,
 		})
@@ -464,7 +464,7 @@ func (d *Domain) execute(a policy.Action) error {
 		err := d.bus.Connect(PolicyEnginePrincipal, x.From, x.To)
 		if err == nil {
 			if _, active := d.eng.OverrideActive(); active {
-				d.log.Append(audit.Record{
+				d.log.AppendAsync(audit.Record{
 					Kind: audit.BreakGlass, Layer: audit.LayerPolicy, Domain: d.name,
 					Src: ifc.EntityID(x.From), Dst: ifc.EntityID(x.To),
 					Agent: PolicyEnginePrincipal,
@@ -482,7 +482,7 @@ func (d *Domain) execute(a policy.Action) error {
 	case policy.SetCtxAction:
 		// The engine already applied the value to the context store; the
 		// executor only audits the decision.
-		d.log.Append(audit.Record{
+		d.log.AppendAsync(audit.Record{
 			Kind: audit.Reconfiguration, Layer: audit.LayerPolicy, Domain: d.name,
 			Agent: PolicyEnginePrincipal, Note: "context set: " + x.String(),
 		})
@@ -495,14 +495,14 @@ func (d *Domain) execute(a policy.Action) error {
 			return err
 		}
 		if err := act.Apply(x.Command, x.Value); err != nil {
-			d.log.Append(audit.Record{
+			d.log.AppendAsync(audit.Record{
 				Kind: audit.FlowDenied, Layer: audit.LayerPolicy, Domain: d.name,
 				Dst: ifc.EntityID(x.Device), Agent: PolicyEnginePrincipal,
 				Note: "actuation refused: " + err.Error(),
 			})
 			return err
 		}
-		d.log.Append(audit.Record{
+		d.log.AppendAsync(audit.Record{
 			Kind: audit.Reconfiguration, Layer: audit.LayerPolicy, Domain: d.name,
 			Dst: ifc.EntityID(x.Device), Agent: PolicyEnginePrincipal,
 			Note: fmt.Sprintf("actuated %s %s=%g", x.Device, x.Command, x.Value),
@@ -526,7 +526,7 @@ func (d *Domain) EnrollPeer(name string, endorsementKey []byte) {
 func (d *Domain) Federate(network transport.Network, addr string,
 	peer *attest.TPM, pol attest.Policy) (string, error) {
 	if err := d.verifier.Attest(peer, []int{0}, pol); err != nil {
-		d.log.Append(audit.Record{
+		d.log.AppendAsync(audit.Record{
 			Kind: audit.FlowDenied, Layer: audit.LayerPolicy, Domain: d.name,
 			Dst: ifc.EntityID(peer.DeviceID()), Note: "federation refused: " + err.Error(),
 		})
@@ -536,7 +536,7 @@ func (d *Domain) Federate(network transport.Network, addr string,
 	if err != nil {
 		return "", err
 	}
-	d.log.Append(audit.Record{
+	d.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerPolicy, Domain: d.name,
 		Dst: ifc.EntityID(peerName), Note: "federated with peer domain (attested)",
 	})
@@ -564,7 +564,7 @@ func (d *Domain) LinkPeer(network transport.Network, addr string, wait time.Dura
 	for {
 		peer, err := d.bus.LinkTo(network, addr)
 		if err == nil {
-			d.log.Append(audit.Record{
+			d.log.AppendAsync(audit.Record{
 				Kind: audit.Reconfiguration, Layer: audit.LayerPolicy, Domain: d.name,
 				Dst: ifc.EntityID(peer), Note: "federated with peer domain (unattested link)",
 			})

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"lciot/internal/audit"
 	"lciot/internal/cep"
 	"lciot/internal/ctxmodel"
+	"lciot/internal/fault"
 	"lciot/internal/ifc"
 	"lciot/internal/msg"
 	"lciot/internal/sbus"
@@ -343,5 +345,69 @@ func TestErasurePropagationProperty(t *testing.T) {
 	})
 	if len(execs) == 0 {
 		t.Fatal("no ObligationExecuted evidence for the erasure request")
+	}
+}
+
+// TestEraseCoversStagedDerivations: erasure expands its targets through
+// the provenance graph, which is fed by the log's sink. A derived datum
+// whose flow record is staged but not yet committed must still be found
+// and tombstoned. The hasher is stalled so the relay's record is still
+// staged when EraseData runs.
+func TestEraseCoversStagedDerivations(t *testing.T) {
+	defer fault.DisarmAll()
+	clock := newTestClock()
+	d, err := NewDomain("plant", Options{Clock: clock.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := d.LoadPolicy(telemetryObligation); err != nil {
+		t.Fatal(err)
+	}
+	ctx := ifc.MustContext([]ifc.Tag{"telemetry"}, nil)
+	src, err := d.Bus().Register("sensor", "plant", ctx, nil,
+		sbus.EndpointSpec{Name: "out", Dir: sbus.Source, Schema: telemetrySchema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The relay derives a new datum from each reading it receives.
+	var relay *sbus.Component
+	var relayed atomic.Int32
+	relay, err = d.Bus().Register("relay", "plant", ctx,
+		func(m *msg.Message, _ sbus.Delivery) {
+			out := m.Clone()
+			out.DataID = strings.Replace(m.DataID, "/reading/", "/derived/", 1)
+			if _, err := relay.Publish("out", out); err != nil {
+				t.Errorf("relay republish: %v", err)
+			}
+			relayed.Add(1)
+		},
+		sbus.EndpointSpec{Name: "in", Dir: sbus.Sink, Schema: telemetrySchema()},
+		sbus.EndpointSpec{Name: "out", Dir: sbus.Source, Schema: telemetrySchema()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Bus().Register("sink", "plant", ctx, nil,
+		sbus.EndpointSpec{Name: "in", Dir: sbus.Sink, Schema: telemetrySchema()}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ch := range [][2]string{{"sensor.out", "relay.in"}, {"relay.out", "sink.in"}} {
+		if err := d.Bus().Connect(PolicyEnginePrincipal, ch[0], ch[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.Log().Flush()
+
+	fault.Arm("audit.sink.stall", fault.Once(fault.Action{Delay: 300 * time.Millisecond}))
+	publishTelemetry(t, src, "ann", 1)
+	d.EraseData("telemetry", "ann/reading/0", "erasure request")
+
+	if relayed.Load() != 1 {
+		t.Fatalf("relay derived %d data, want 1", relayed.Load())
+	}
+	for _, r := range d.Log().Select(nil) {
+		if r.DataID == "ann/derived/0" && !r.Redacted {
+			t.Fatalf("derived record %d survived erasure of its source", r.Seq)
+		}
 	}
 }

@@ -121,7 +121,7 @@ func (d *Domain) installObligations(tab *obligation.Table) error {
 	d.oblPending = keptPending
 	d.mu.Unlock()
 	if tab.Len() > 0 || dropped > 0 {
-		d.log.Append(audit.Record{
+		d.log.AppendAsync(audit.Record{
 			Kind: audit.Reconfiguration, Layer: audit.LayerPolicy, Domain: d.name,
 			Agent: PolicyEnginePrincipal,
 			Note: fmt.Sprintf("obligations loaded: %d tags under management, %d retired deadlines dropped",
@@ -159,7 +159,7 @@ func (d *Domain) rebuildObligations(tab *obligation.Table) error {
 		return fmt.Errorf("core: obligation rebuild: %w", err)
 	}
 	if rebuilt > 0 {
-		d.log.Append(audit.Record{
+		d.log.AppendAsync(audit.Record{
 			Kind: audit.ObligationScheduled, Layer: audit.LayerPolicy, Domain: d.name,
 			Agent: PolicyEnginePrincipal,
 			Note:  fmt.Sprintf("obligation sweep resumed from store: %d retention deadlines rescheduled", rebuilt),
@@ -275,6 +275,10 @@ func (d *Domain) eraseMany(items []eraseItem, reason string, purgeSubjects bool)
 	if len(items) == 0 {
 		return
 	}
+	// The provenance graph is fed by the log's sink: commit every staged
+	// flow first, or a derivation still in staging escapes the expansion
+	// below and survives the erasure untombstoned.
+	d.log.Flush()
 	// A datum is scheduled under its *tightest*-retention tag, which may
 	// not be the tag it is being erased under — cancel across every
 	// retention-limited tag so no stale deadline survives to fire (and
@@ -359,7 +363,7 @@ func (d *Domain) eraseMany(items []eraseItem, reason string, purgeSubjects bool)
 			for s := range subjects {
 				n, err := g.EraseDevice(s)
 				if err != nil {
-					d.log.Append(audit.Record{
+					d.log.AppendAsync(audit.Record{
 						Kind: audit.ObligationRefused, Layer: audit.LayerPolicy, Domain: d.name,
 						Agent: PolicyEnginePrincipal,
 						Note:  "gateway erasure failed: " + err.Error(),
@@ -388,14 +392,14 @@ func (d *Domain) eraseMany(items []eraseItem, reason string, purgeSubjects bool)
 			Note:  fmt.Sprintf("erased (%s, tag %s): %d data items including derivations", reason, it.tag, derived[i]),
 		})
 	}
-	d.log.Append(audit.Record{
+	d.log.AppendAsync(audit.Record{
 		Kind: audit.Redaction, Layer: audit.LayerPolicy, Domain: d.name,
 		Agent: PolicyEnginePrincipal,
 		Note: fmt.Sprintf("tombstoned %d records for %d erased data items (%s); live state purged (ctx %d, cep %d, gateway %d)",
 			redacted, len(targets), reason, ctxPurged, cepPurged, gwPurged),
 	})
 	if refused > 0 {
-		d.log.Append(audit.Record{
+		d.log.AppendAsync(audit.Record{
 			Kind: audit.ObligationRefused, Layer: audit.LayerPolicy, Domain: d.name,
 			Agent: PolicyEnginePrincipal,
 			Note:  fmt.Sprintf("%d records could not be tombstoned (%s)", refused, reason),
@@ -487,7 +491,7 @@ func (d *Domain) eraseTag(tag ifc.Tag, reason string) int {
 		items[i] = eraseItem{tag: tag, dataID: id}
 	}
 	d.eraseMany(items, reason, true)
-	d.log.Append(audit.Record{
+	d.log.AppendAsync(audit.Record{
 		Kind: audit.ObligationExecuted, Layer: audit.LayerPolicy, Domain: d.name,
 		Agent: PolicyEnginePrincipal,
 		Note:  fmt.Sprintf("tag %s erased (%s): %d data items", tag, reason, len(sorted)),

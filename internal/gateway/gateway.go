@@ -288,7 +288,7 @@ func (g *Gateway) EraseDevice(deviceID string) (int, error) {
 		}
 		redacted = len(seqs)
 	}
-	g.log.Append(audit.Record{
+	g.log.AppendAsync(audit.Record{
 		Kind: audit.ObligationExecuted, Layer: audit.LayerMessaging,
 		Src: ifc.EntityID(deviceID), Dst: g.comp.Entity().ID(),
 		Note: fmt.Sprintf("gateway erasure: %d buffered readings dropped, %d journal entries redacted",
@@ -315,7 +315,7 @@ func (g *Gateway) Ingest(r device.Reading) error {
 	g.mu.Unlock()
 
 	if !ok {
-		g.log.Append(audit.Record{
+		g.log.AppendAsync(audit.Record{
 			Kind: audit.FlowDenied, Layer: audit.LayerMessaging,
 			Src: ifc.EntityID(r.DeviceID), Dst: g.comp.Entity().ID(),
 			DataID: r.DataID(), Note: "gateway refused: device not in table",
@@ -323,7 +323,7 @@ func (g *Gateway) Ingest(r device.Reading) error {
 		return fmt.Errorf("%w: %q", ErrUnknownDevice, r.DeviceID)
 	}
 	if !entry.Consent {
-		g.log.Append(audit.Record{
+		g.log.AppendAsync(audit.Record{
 			Kind: audit.FlowDenied, Layer: audit.LayerMessaging,
 			Src: ifc.EntityID(r.DeviceID), Dst: g.comp.Entity().ID(),
 			DataID: r.DataID(), Note: "gateway refused: no consent recorded",

@@ -343,7 +343,7 @@ func (k *Kernel) SetContext(pid PID, to ifc.SecurityContext) error {
 		return err
 	}
 	if k.hooksEnabled {
-		k.log.Append(audit.Record{
+		k.log.AppendAsync(audit.Record{
 			Kind: audit.ContextChange, Layer: audit.LayerKernel, Domain: k.name,
 			Src: p.entity.ID(), SrcCtx: from, DstCtx: to, Note: "setcontext",
 		})

@@ -443,7 +443,7 @@ func (b *Bus) Connect(by ifc.PrincipalID, src, dst string) error {
 	b.applyRoutes([]routeEdit{{ch: ch}})
 
 	srcID, dstID := ch.auditIDs()
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: srcID, Dst: dstID,
 		SrcCtx: ch.srcComp.Context(), DstCtx: ch.dstComp.Context(),
@@ -556,7 +556,7 @@ func (b *Bus) ConnectMany(by ifc.PrincipalID, pairs [][2]string) error {
 	}
 	b.applyRoutes(edits)
 
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Agent: by, Note: fmt.Sprintf("bulk channel establishment: %d channels", len(pairs)),
 	})
@@ -577,7 +577,7 @@ func (b *Bus) Disconnect(by ifc.PrincipalID, src, dst string) error {
 		return fmt.Errorf("%w: %s -> %s", ErrNoChannel, src, dst)
 	}
 	srcID, dstID := removed[0].auditIDs()
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: srcID, Dst: dstID,
 		Agent: by, Note: "channel torn down",
@@ -794,7 +794,7 @@ func (b *Bus) reevaluate(component string) {
 	}
 	for _, ch := range b.applyRoutes(edits) {
 		srcID, dstID := ch.auditIDs()
-		b.log.Append(audit.Record{
+		b.log.AppendAsync(audit.Record{
 			Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 			Src: srcID, Dst: dstID,
 			Note: "channel torn down: context change made flow illegal",

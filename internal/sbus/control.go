@@ -32,7 +32,7 @@ func (b *Bus) SetComponentContext(by ifc.PrincipalID, component string, to ifc.S
 	if err := c.SetContext(to); err != nil {
 		return err
 	}
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.ContextChange, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: c.entity.ID(), SrcCtx: from, DstCtx: to, Agent: by,
 		Note: "context changed by third-party reconfiguration",
@@ -57,7 +57,7 @@ func (b *Bus) GrantPrivileges(by ifc.PrincipalID, component string, p ifc.Privil
 	// GrantPrivileges advanced the entity's privilege generation and the
 	// process-wide flow-cache generation: every cached decision derived
 	// from the old privilege sets is now stale and will be re-derived.
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.PrivilegeGrant, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: c.entity.ID(), Agent: by,
 		Note: "privileges granted: " + p.String(),
@@ -77,7 +77,7 @@ func (b *Bus) InstallGate(by ifc.PrincipalID, g *ifc.Gate) error {
 		return err
 	}
 	b.gates.Install(g)
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Agent: by, Note: fmt.Sprintf("gate %q installed (%s): %s -> %s",
 			g.Name, g.Kind(), g.Input, g.Output),
@@ -93,7 +93,7 @@ func (b *Bus) RemoveGate(by ifc.PrincipalID, name string) error {
 	if !b.gates.Remove(name) {
 		return fmt.Errorf("sbus: no gate %q installed", name)
 	}
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Agent: by, Note: fmt.Sprintf("gate %q removed", name),
 	})
@@ -111,7 +111,7 @@ func (b *Bus) SetComponentClearance(by ifc.PrincipalID, component string, cleara
 		return err
 	}
 	c.SetClearance(clearance)
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: c.entity.ID(), Agent: by,
 		Note: "message-layer clearance set to " + clearance.String(),
@@ -135,7 +135,7 @@ func (b *Bus) Quarantine(by ifc.PrincipalID, component string, isolated bool) er
 	if !isolated {
 		note = "component released from quarantine"
 	}
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: c.entity.ID(), Agent: by, Note: note,
 	})

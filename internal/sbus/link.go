@@ -402,7 +402,7 @@ func (b *Bus) Serve(listener transport.Listener) {
 		}
 		go func() {
 			if err := b.ServeLink(conn); err != nil {
-				b.log.Append(audit.Record{
+				b.log.AppendAsync(audit.Record{
 					Kind: audit.FlowDenied, Layer: audit.LayerMessaging, Domain: b.name,
 					Note: "link handshake rejected: " + err.Error(),
 				})
@@ -428,7 +428,7 @@ func (b *Bus) addLink(l *link) {
 	if old != nil {
 		old.shutdown()
 	}
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Dst: ifc.EntityID(l.peer), Note: "link established to peer bus",
 	})
@@ -451,7 +451,7 @@ func (b *Bus) removeLink(l *link, note string) {
 	}
 	b.linkMu.Unlock()
 	l.shutdown()
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Dst: ifc.EntityID(l.peer), Note: "link closed: " + note,
 	})
@@ -758,7 +758,7 @@ func (l *link) supervise(conn transport.Conn) {
 			l.bus.removeLink(l, "peer connection lost")
 			return
 		}
-		l.bus.log.Append(audit.Record{
+		l.bus.log.AppendAsync(audit.Record{
 			Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: l.bus.name,
 			Dst: ifc.EntityID(l.peer), Note: "link lost, reconnecting",
 		})
@@ -777,7 +777,7 @@ func (l *link) supervise(conn transport.Conn) {
 		l.mu.Unlock()
 		replayed := l.replayEgress(next)
 		l.setConn(next)
-		l.bus.log.Append(audit.Record{
+		l.bus.log.AppendAsync(audit.Record{
 			Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: l.bus.name,
 			Dst: ifc.EntityID(l.peer),
 			Note: fmt.Sprintf("link resumed after %d attempts (reconnect #%d), %d channels replayed",
@@ -924,7 +924,7 @@ func (l *link) replayEgress(conn transport.Conn) int {
 					// it routed would silently drop every message.
 					if removed := b.applyRoutes([]routeEdit{{key: w.key}}); len(removed) > 0 {
 						srcID, dstID := removed[0].auditIDs()
-						b.log.Append(audit.Record{
+						b.log.AppendAsync(audit.Record{
 							Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 							Src: srcID, Dst: dstID,
 							Note: "cross-bus channel torn down: resume refused: " + resp.Err,
@@ -998,7 +998,7 @@ func (b *Bus) connectRemote(by ifc.PrincipalID, ch *channel) error {
 	}
 	b.applyRoutes([]routeEdit{{ch: ch}})
 	srcID, dstID := ch.auditIDs()
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: srcID, Dst: dstID,
 		SrcCtx: ctx, Agent: by, Note: "cross-bus channel established",
@@ -1180,7 +1180,7 @@ func (l *link) acceptIngress(f LinkFrame) error {
 	l.mu.Lock()
 	l.ingress[channelKey{src: f.Src, dst: f.Dst}] = struct{}{}
 	l.mu.Unlock()
-	b.log.Append(audit.Record{
+	b.log.AppendAsync(audit.Record{
 		Kind: audit.Reconfiguration, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: ifc.EntityID(f.Src), Dst: dstComp.entity.ID(),
 		SrcCtx: srcCtx, DstCtx: dstComp.Context(), Agent: f.Agent,

@@ -73,9 +73,23 @@ func flowRec(src, dst string) audit.Record {
 	}
 }
 
+// commit stages r and returns it as committed. Checkpoint flushes (and so
+// runs the log's sinks), so in a single-producer test the newest record
+// is r.
+func commit(t *testing.T, l *audit.Log, r audit.Record) audit.Record {
+	t.Helper()
+	l.AppendAsync(r)
+	next, _ := l.Checkpoint()
+	got, err := l.Get(next - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 func TestRecordBinaryRoundTrip(t *testing.T) {
 	l := audit.NewLog(testClock())
-	want := l.Append(flowRec("a", "b"))
+	want := commit(t, l, flowRec("a", "b"))
 
 	buf := audit.AppendRecordBinary(nil, &want)
 	got, err := audit.DecodeRecordBinary(buf)
@@ -148,7 +162,7 @@ func TestAuditStorePersistsAndRecoversChain(t *testing.T) {
 	if err := s2.AttachLog(l2); err != nil {
 		t.Fatal(err)
 	}
-	l2.Append(flowRec("analyser", "archive"))
+	l2.AppendAsync(flowRec("analyser", "archive"))
 	if err := s2.VerifyAgainst(l2); err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +189,7 @@ func TestAuditStoreOffload(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		l.Append(flowRec("a", "b"))
+		l.AppendAsync(flowRec("a", "b"))
 	}
 	dropped, err := s.Offload(l)
 	if err != nil {
@@ -189,7 +203,7 @@ func TestAuditStoreOffload(t *testing.T) {
 	}
 	// The log keeps accepting records and the boundary still verifies:
 	// memory is a cache, disk is the archive.
-	l.Append(flowRec("b", "c"))
+	l.AppendAsync(flowRec("b", "c"))
 	if err := s.VerifyAgainst(l); err != nil {
 		t.Fatal(err)
 	}
@@ -208,18 +222,18 @@ func TestAuditStoreRejectsChainBreaks(t *testing.T) {
 	}
 	defer s.Close()
 	l := audit.NewLog(testClock())
-	r0 := l.Append(flowRec("a", "b"))
+	r0 := commit(t, l, flowRec("a", "b"))
 	if err := s.Append(r0); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong seq.
-	bad := l.Append(flowRec("b", "c"))
+	bad := commit(t, l, flowRec("b", "c"))
 	bad.Seq = 7
 	if err := s.Append(bad); err == nil {
 		t.Fatal("wrong-seq record accepted")
 	}
 	// Wrong linkage.
-	bad = l.Append(flowRec("c", "d"))
+	bad = commit(t, l, flowRec("c", "d"))
 	bad.Seq = s.NextSeq()
 	bad.PrevHash = [32]byte{1}
 	if err := s.Append(bad); err == nil {
@@ -238,7 +252,7 @@ func TestAuditStoreRecoveryDetectsTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
-		l.Append(flowRec("a", "b"))
+		l.AppendAsync(flowRec("a", "b"))
 	}
 	l.Flush()
 	if err := s.Close(); err != nil {

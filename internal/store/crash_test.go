@@ -56,7 +56,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		if err := s.AttachLog(l); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		l.Append(flowRec("post-crash", "sink"))
+		l.AppendAsync(flowRec("post-crash", "sink"))
 		if err := s.VerifyAgainst(l); err != nil {
 			t.Fatalf("iter %d: boundary verify after restart: %v", iter, err)
 		}
@@ -88,8 +88,9 @@ func TestDiskFullRecovery(t *testing.T) {
 	}
 	// A durable prefix the failure must not touch.
 	for i := 0; i < 20; i++ {
-		l.Append(flowRec("ingest", "store"))
+		l.AppendAsync(flowRec("ingest", "store"))
 	}
+	l.Flush()
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +101,9 @@ func TestDiskFullRecovery(t *testing.T) {
 	fault.Arm("store.wal.write",
 		fault.Always(fault.Action{Bytes: 20, Err: fault.Wrap(syscall.ENOSPC)}))
 	for i := 0; i < 20; i++ {
-		l.Append(flowRec("ingest", "store"))
+		l.AppendAsync(flowRec("ingest", "store"))
 	}
+	l.Flush()
 	err = s.Sync()
 	if !errors.Is(err, ErrDegraded) || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("Sync = %v, want ErrDegraded wrapping ENOSPC", err)
@@ -112,8 +114,9 @@ func TestDiskFullRecovery(t *testing.T) {
 	// Ingest continues on the degraded store: records buffer in memory
 	// instead of vanishing or wedging the appender.
 	for i := 0; i < 5; i++ {
-		l.Append(flowRec("ingest", "store"))
+		l.AppendAsync(flowRec("ingest", "store"))
 	}
+	l.Flush()
 	if h := s.Health(); !h.Degraded || h.Buffered == 0 {
 		t.Fatalf("health = %+v, want degraded with buffered records", h)
 	}
@@ -136,7 +139,7 @@ func TestDiskFullRecovery(t *testing.T) {
 	if err := s2.AttachLog(l2); err != nil {
 		t.Fatal(err)
 	}
-	l2.Append(flowRec("post-enospc", "sink"))
+	l2.AppendAsync(flowRec("post-enospc", "sink"))
 	if err := s2.VerifyAgainst(l2); err != nil {
 		t.Fatalf("boundary verify after restart: %v", err)
 	}

@@ -27,8 +27,9 @@ func TestAuditStoreDegradesOnWriteFailure(t *testing.T) {
 
 	fault.Arm("store.wal.write", fault.Always(fault.Action{Err: fault.Wrap(syscall.ENOSPC)}))
 	for i := 0; i < 10; i++ {
-		l.Append(flowRec("sensor", "analyser"))
+		l.AppendAsync(flowRec("sensor", "analyser"))
 	}
+	l.Flush()
 	err = s.Sync()
 	if !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Sync after write failure = %v, want ErrDegraded", err)
@@ -40,7 +41,7 @@ func TestAuditStoreDegradesOnWriteFailure(t *testing.T) {
 	// The error is sticky and further appends keep the chain linked in
 	// memory rather than vanishing.
 	before := s.Health()
-	r := l.Append(flowRec("sensor", "analyser"))
+	r := commit(t, l, flowRec("sensor", "analyser"))
 	h := s.Health()
 	if !h.Degraded || !errors.Is(h.Cause, syscall.ENOSPC) {
 		t.Fatalf("health = %+v, want degraded with ENOSPC cause", h)
@@ -75,14 +76,16 @@ func TestAuditStoreDegradedShedBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.Arm("store.wal.write", fault.Always(fault.Action{Err: fault.Wrap(syscall.ENOSPC)}))
-	l.Append(flowRec("a", "b"))
+	l.AppendAsync(flowRec("a", "b"))
+	l.Flush()
 	if err := s.Sync(); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("Sync = %v, want ErrDegraded", err)
 	}
 	const extra = 5
 	for i := 0; i < maxDegradedBuffer+extra; i++ {
-		l.Append(flowRec("a", "b"))
+		l.AppendAsync(flowRec("a", "b"))
 	}
+	l.Flush()
 	h := s.Health()
 	if h.Buffered != maxDegradedBuffer {
 		t.Fatalf("buffered = %d, want %d", h.Buffered, maxDegradedBuffer)
@@ -113,7 +116,8 @@ func TestAuditStoreFsyncFailureDegrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	fault.Arm("store.wal.fsync", fault.Always(fault.Action{Err: fault.Wrap(syscall.EIO)}))
-	l.Append(flowRec("a", "b"))
+	l.AppendAsync(flowRec("a", "b"))
+	l.Flush()
 	err = s.Sync()
 	if !errors.Is(err, ErrDegraded) || !errors.Is(err, syscall.EIO) {
 		t.Fatalf("Sync after fsync failure = %v, want ErrDegraded wrapping EIO", err)
@@ -133,7 +137,7 @@ func TestAuditStoreCloseIsNotDegradation(t *testing.T) {
 	if err := s.AttachLog(l); err != nil {
 		t.Fatal(err)
 	}
-	r := l.Append(flowRec("a", "b"))
+	r := commit(t, l, flowRec("a", "b"))
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

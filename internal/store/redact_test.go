@@ -184,12 +184,13 @@ func TestAuditStoreRedactTombstone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
-		log.Append(audit.Record{
+		log.AppendAsync(audit.Record{
 			Kind: audit.FlowAllowed, Layer: audit.LayerMessaging, Domain: "d",
 			Src: "sensor", Dst: "analyser", DataID: fmt.Sprintf("datum-%d", i),
 			Note: "delivery",
 		})
 	}
+	log.Flush()
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,8 @@ func TestAuditStoreRedactTombstone(t *testing.T) {
 	if err := s2.AttachLog(log2); err != nil {
 		t.Fatal(err)
 	}
-	log2.Append(audit.Record{Kind: audit.Reconfiguration, Domain: "d", Note: "post-redaction boot"})
+	log2.AppendAsync(audit.Record{Kind: audit.Reconfiguration, Domain: "d", Note: "post-redaction boot"})
+	log2.Flush()
 	if err := s2.Sync(); err != nil {
 		t.Fatal(err)
 	}

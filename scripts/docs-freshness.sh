@@ -75,6 +75,8 @@ check "(cloned|clones|clone) (under the shard|(a|the|each) (shard.s )?(whole )?(
     'a routing mutation copies only the buckets it writes (per-bucket copy-on-write), never the whole snapshot'
 check 'advances on every AddEdge' \
     'the provenance epoch advances only when the edge set changes; re-adding a present edge is a no-op'
+check 'remains the synchronous path' \
+    'audit.Log has one ingest path: every record stages and commits in ticket order (Log.Append is gone)'
 
 if [ "$fail" -eq 0 ]; then
     echo "docs-freshness: OK"
