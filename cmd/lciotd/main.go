@@ -45,8 +45,9 @@
 // as JSON) and net/http/pprof under /debug/pprof/. Telemetry recording is
 // enabled at boot either way — the flag only controls the listener.
 // -trace-sample N samples one publish in N into an end-to-end flow trace
-// (0, the default, disables head sampling; denials and degradations are
-// always traced).
+// whose stage clock attributes its latency to pipeline edges (the
+// stage_*_ns histograms and the /lanes link rows); 0, the default,
+// disables head sampling, and denials and degradations are always traced.
 //
 // Obligation clauses in the policy file (retention, erasure, residency,
 // purpose) are compiled on load; "jurisdiction" declares where the node
@@ -126,14 +127,11 @@ type config struct {
 	// MetricsAddr starts the operator HTTP surface (/metrics, /healthz,
 	// /traces, pprof) on this address; empty disables the listener.
 	MetricsAddr string `json:"metrics_addr,omitempty"`
-	// TraceSample samples one publish in N into a flow trace; 0 disables
-	// head sampling (error spans still record).
-	TraceSample int `json:"trace_sample,omitempty"`
-	// StageSample arms the per-message stage clock on one publish in N,
-	// attributing end-to-end latency to pipeline edges (the stage_*_ns
-	// histograms and the /lanes endpoint); 0 disables — an unarmed publish
-	// costs one atomic load.
-	StageSample int               `json:"stage_sample,omitempty"`
+	// TraceSample samples one publish in N into a flow trace whose stage
+	// clock attributes its latency to pipeline edges (the stage_*_ns
+	// histograms and the /lanes link rows); 0 disables head sampling
+	// (error spans still record).
+	TraceSample int               `json:"trace_sample,omitempty"`
 	Schemas     []schemaConfig    `json:"schemas"`
 	Components  []componentConfig `json:"components"`
 	Channels    []channelConfig   `json:"channels"`
@@ -186,8 +184,7 @@ func main() {
 	shards := flag.Int("shards", 0, "bus shard count, 0 = config shards or single-shard (set near the core count on busy multi-core nodes)")
 	faults := flag.String("faults", "", "arm deterministic failpoints for a chaos drill: name=mode(args);... (see internal/fault)")
 	metricsAddr := flag.String("metrics-addr", "", "operator HTTP surface address: /metrics, /healthz, /traces, /debug/pprof (overrides config metrics_addr)")
-	traceSample := flag.Int("trace-sample", 0, "sample one publish in N into a flow trace, 0 = off (overrides config trace_sample)")
-	stageSample := flag.Int("stage-sample", 0, "attribute stage latency on one publish in N, 0 = off (overrides config stage_sample)")
+	traceSample := flag.Int("trace-sample", 0, "sample one publish in N into a flow trace with stage latency attribution, 0 = off (overrides config trace_sample)")
 	var peers peerList
 	flag.Var(&peers, "peer", "peer bus address to federate with (repeatable; adds to config peers)")
 	flag.Parse()
@@ -195,7 +192,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*configPath, *dataDir, *pump, *listen, *sweepEvery, *faults, *metricsAddr, *shards, *traceSample, *stageSample, peers); err != nil {
+	if err := run(*configPath, *dataDir, *pump, *listen, *sweepEvery, *faults, *metricsAddr, *shards, *traceSample, peers); err != nil {
 		log.Fatal("lciotd: ", err)
 	}
 }
@@ -213,7 +210,7 @@ func (p *peerList) Set(v string) error {
 	return nil
 }
 
-func run(configPath, dataDir, pump, listen, sweepEvery, faults, metricsAddr string, shards, traceSample, stageSample int, peers []string) error {
+func run(configPath, dataDir, pump, listen, sweepEvery, faults, metricsAddr string, shards, traceSample int, peers []string) error {
 	// Failpoints arm before the domain exists so boot-path points (store
 	// recovery, the first WAL writes) are already live.
 	if faults != "" {
@@ -267,9 +264,6 @@ func run(configPath, dataDir, pump, listen, sweepEvery, faults, metricsAddr stri
 	if traceSample != 0 {
 		cfg.TraceSample = traceSample
 	}
-	if stageSample != 0 {
-		cfg.StageSample = stageSample
-	}
 	cfg.Peers = append(cfg.Peers, peers...)
 
 	// Telemetry is compiled into every layer but off by default (one
@@ -277,11 +271,7 @@ func run(configPath, dataDir, pump, listen, sweepEvery, faults, metricsAddr stri
 	lciot.EnableTelemetry()
 	lciot.SetTraceSampling(cfg.TraceSample)
 	if cfg.TraceSample > 0 {
-		log.Printf("flow tracing: sampling 1 in %d publishes", cfg.TraceSample)
-	}
-	lciot.SetStageSampling(cfg.StageSample)
-	if cfg.StageSample > 0 {
-		log.Printf("stage attribution: sampling 1 in %d publishes", cfg.StageSample)
+		log.Printf("flow tracing and stage attribution: sampling 1 in %d publishes", cfg.TraceSample)
 	}
 
 	jurisdiction := make([]lciot.Tag, 0, len(cfg.Jurisdiction))
@@ -751,7 +741,7 @@ func serveMetrics(domain *lciot.Domain, addr string) error {
 	mux.HandleFunc("/lanes", func(w http.ResponseWriter, r *http.Request) {
 		// Per-peer link-hop stage rows from the registry snapshot: one row
 		// per federated peer, present from link establishment (count 0
-		// until a stage-attributed message crosses).
+		// until a sampled message crosses).
 		type linkRow struct {
 			Peer  string `json:"peer"`
 			Count uint64 `json:"count"`
@@ -772,9 +762,8 @@ func serveMetrics(domain *lciot.Domain, addr string) error {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]any{
-			"skew":         domain.SkewReport(),
-			"stage_sample": lciot.StageSampling(),
-			"stage_links":  rows,
+			"skew":        domain.SkewReport(),
+			"stage_links": rows,
 		})
 	})
 	mux.HandleFunc("/traces", func(w http.ResponseWriter, r *http.Request) {

@@ -105,8 +105,8 @@ type Log struct {
 
 // A staged record is one AppendAsync payload parked in a lane buffer with
 // the arrival ticket that fixes its place in the chain, plus the stage
-// clock of the message that produced it (nil for unattributed flows): the
-// hasher marks the decide→audit edge at commit.
+// clock of the message that produced it (nil for unsampled flows): the
+// hasher marks the audit edge at commit.
 type staged struct {
 	ticket uint64
 	rec    Record
@@ -209,9 +209,9 @@ func (l *Log) AppendAsync(r Record) { l.AppendAsyncOn(0, r, nil) }
 // sequence number and chained hash are assigned by the hasher in
 // arrival-ticket order. Callers running on distinct lanes contend on
 // nothing but the arrival-ticket counter. stage is the stage clock of the
-// message that produced the record (nil for unattributed flows): the
-// hasher marks its decide→audit edge when the record commits, closing the
-// last pipeline stage. Call Flush to wait for commitment; read-side
+// message that produced the record (its m.Trace.Clock; nil for unsampled
+// flows): the hasher marks its audit edge when the record commits,
+// closing the last pipeline stage. Call Flush to wait for commitment; read-side
 // methods flush implicitly.
 func (l *Log) AppendAsyncOn(lane int, r Record, stage *telemetry.StageClock) {
 	if r.Time.IsZero() {
@@ -366,7 +366,7 @@ func (l *Log) drain() {
 		}
 		sinks := l.sinks
 		l.mu.Unlock()
-		// Close the decide→audit stage edge now that the records are in the
+		// Close the audit stage edge now that the records are in the
 		// chain (nil-safe; most records carry no clock).
 		for i := range batch {
 			batch[i].stage.MarkAudit()

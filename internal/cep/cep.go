@@ -14,10 +14,10 @@ type Event struct {
 	Source string
 	Time   time.Time
 	Value  float64
-	// Stage is the stage clock of the message that carried the event (nil
-	// for unattributed flows): application sinks that feed the bus into CEP
-	// thread it through so the deliver→detect edge is marked when a pattern
-	// fires on this event.
+	// Stage is the stage clock of the message that carried the event
+	// (m.Trace.Clock; nil for unsampled flows): application sinks that
+	// feed the bus into CEP thread it through so the deliver→detect edge
+	// is marked when a pattern fires on this event.
 	Stage *telemetry.StageClock
 }
 

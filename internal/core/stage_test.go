@@ -10,15 +10,16 @@ import (
 	"lciot/internal/telemetry"
 )
 
-// stageArmed enables telemetry recording and every-publish stage sampling
-// for one test, restoring both afterwards.
+// stageArmed enables telemetry recording and every-publish trace sampling
+// (which arms each publish's stage clock) for one test, restoring both
+// afterwards.
 func stageArmed(t *testing.T) {
 	t.Helper()
 	prev := telemetry.Enabled()
 	telemetry.Enable()
-	telemetry.SetStageSampling(1)
+	telemetry.SetTraceSampling(1)
 	t.Cleanup(func() {
-		telemetry.SetStageSampling(0)
+		telemetry.SetTraceSampling(0)
 		if !prev {
 			telemetry.Disable()
 		}
@@ -87,7 +88,7 @@ func TestStageClockTelescopesAcrossRelay(t *testing.T) {
 		func(m *msg.Message, _ sbus.Delivery) {
 			d.FeedEvent(cep.Event{
 				Type: "vitals", Source: "relay-probe",
-				Time: clock.Now(), Value: 1, Stage: m.Stage,
+				Time: clock.Now(), Value: 1, Stage: m.Trace.Clock,
 			})
 		},
 		sbus.EndpointSpec{Name: "in", Dir: sbus.Sink, Schema: vitalsSchema()}); err != nil {
@@ -106,8 +107,8 @@ func TestStageClockTelescopesAcrossRelay(t *testing.T) {
 	if _, err := dev.Publish("out", m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Stage == nil {
-		t.Fatal("publish at stage sampling 1 left no clock on the message")
+	if m.Trace.Clock == nil {
+		t.Fatal("publish at trace sampling 1 left no clock on the message")
 	}
 	// Single-shard delivery runs inline, so detection and the policy
 	// decision happened inside Publish; only the audit commit is async.
@@ -132,7 +133,7 @@ func TestStageClockTelescopesAcrossRelay(t *testing.T) {
 		}
 		total += sumsAfter[name] - sumsBefore[name]
 	}
-	want := uint64(m.Stage.LastNs() - m.Stage.ArmNs())
+	want := uint64(m.Trace.Clock.LastNs() - m.Trace.Clock.ArmNs())
 	if total != want {
 		t.Fatalf("edge sums total %dns, want exactly end-to-end %dns (last-arm)", total, want)
 	}
@@ -141,8 +142,9 @@ func TestStageClockTelescopesAcrossRelay(t *testing.T) {
 	}
 }
 
-// TestStageSamplingDark pins the disabled default: with stage sampling
-// off, publishes arm no clock and the stage histograms stay silent.
+// TestStageSamplingDark pins the disabled default: with trace sampling
+// off, publishes carry no trace and no clock, and the stage histograms
+// stay silent.
 func TestStageSamplingDark(t *testing.T) {
 	prev := telemetry.Enabled()
 	telemetry.Enable()
@@ -151,14 +153,21 @@ func TestStageSamplingDark(t *testing.T) {
 			telemetry.Disable()
 		}
 	})
-	if got := telemetry.StageSampling(); got != 0 {
-		t.Fatalf("default stage sampling = %d, want 0", got)
+	if got := telemetry.TraceSampling(); got != 0 {
+		t.Fatalf("default trace sampling = %d, want 0", got)
 	}
 	clock := newTestClock()
 	d, src := obligationDomain(t, t.TempDir(), clock)
 	defer d.Close()
 	_, before := stageEdgeStats(t)
 	publishTelemetry(t, src, "dark-dev", 10)
+	m := msg.New("telemetry").Set("device", msg.Str("dark-dev")).Set("value", msg.Float(1))
+	if _, err := src.Publish("out", m); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Trace.IsZero() || m.Trace.Clock != nil {
+		t.Fatalf("unsampled publish carries trace %+v", m.Trace)
+	}
 	d.Log().Flush()
 	_, after := stageEdgeStats(t)
 	for _, name := range telemetry.StageEdges() {

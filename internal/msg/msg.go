@@ -185,17 +185,13 @@ type Message struct {
 	// DataID optionally identifies the datum for provenance tracking.
 	DataID string
 	// Trace is the flow-tracing context stamped at publish (zero when the
-	// flow is unsampled). It is message metadata, not payload: the wire
-	// codecs in this file do not carry it — the link protocol moves it in
-	// its frame trailer (sbus/wire.go).
+	// flow is unsampled), with the stage clock a sampled publish arms. It
+	// is message metadata, not payload: the wire codecs in this file do
+	// not carry it — the link protocol moves ID, hop and the clock's
+	// egress time in its frame trailer (sbus/wire.go). Clones share the
+	// clock by pointer, so edge marks telescope across quench copies and
+	// relay republishes.
 	Trace telemetry.TraceContext
-	// Stage is the per-message stage clock armed at publish when stage
-	// attribution is sampled (nil otherwise — the common case). Like
-	// Trace it is metadata, not payload: clones share the same clock by
-	// pointer so edge marks telescope across quench copies and relay
-	// republishes, and the link protocol carries only the egress
-	// timestamp (in the frame trailer), not the clock itself.
-	Stage *telemetry.StageClock
 }
 
 // New builds an empty message of the given type.
@@ -222,7 +218,7 @@ func (m *Message) FieldNames() []string {
 
 // Clone returns a deep copy; quenching mutates copies, never originals.
 func (m *Message) Clone() *Message {
-	cp := &Message{Type: m.Type, DataID: m.DataID, Trace: m.Trace, Stage: m.Stage, Attrs: make(map[string]Value, len(m.Attrs))}
+	cp := &Message{Type: m.Type, DataID: m.DataID, Trace: m.Trace, Attrs: make(map[string]Value, len(m.Attrs))}
 	for k, v := range m.Attrs {
 		if v.Type == TBytes {
 			b := make([]byte, len(v.Bytes))

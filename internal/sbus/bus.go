@@ -626,9 +626,10 @@ func (b *Bus) publish(c *Component, endpoint string, m *msg.Message) (int, error
 	}
 
 	// Flow tracing: a message that arrives untraced makes the head
-	// sampling decision here (hop 0); one that already carries a trace —
-	// relayed off a link ingress or re-published by a local component —
-	// keeps it, so a federated path stays one trace.
+	// sampling decision here (hop 0), arming its stage clock with the
+	// trace; one that already carries a trace — relayed off a link ingress
+	// or re-published by a local component — keeps it, so a federated path
+	// stays one trace and its stage edges telescope across the whole path.
 	if m.Trace.IsZero() {
 		if tc, ok := telemetry.StartTrace(); ok {
 			m.Trace = tc
@@ -636,18 +637,6 @@ func (b *Bus) publish(c *Component, endpoint string, m *msg.Message) (int, error
 		}
 	} else {
 		telemetry.RecordSpan(m.Trace, b.name, "relay", c.Name()+"."+endpoint, "", "")
-	}
-
-	// Stage attribution: arm the per-message stage clock here (hop 0) when
-	// sampled; a message that already carries one — relayed off a link
-	// ingress or re-published locally — keeps it, so its edges telescope
-	// across the whole path. One atomic load when sampling is off. Only
-	// assign on a hit: an unconditional nil store would race with clone
-	// reads from a prior publish's still-in-flight cross-shard handoffs.
-	if m.Stage == nil {
-		if sc := telemetry.ArmStageClock(); sc != nil {
-			m.Stage = sc
-		}
 	}
 
 	outs, _ := b.shards[c.shard].routing.Load().bySrc.get(c.Name() + "." + endpoint)
@@ -716,22 +705,22 @@ func (b *Bus) deliverLocal(srcComp *Component, srcEP EndpointSpec, ch *channel, 
 	}
 	// Stage the record in the destination shard's audit lane: the lane is
 	// uncontended when this runs on that shard's dispatcher, so parallel
-	// deliveries never serialise on audit ingest. A stage-attributed
-	// message threads its clock through so the decide→audit edge is marked
-	// at commit.
+	// deliveries never serialise on audit ingest. A sampled message
+	// threads its stage clock through so the audit edge is marked at
+	// commit.
 	b.log.AppendAsyncOn(ch.dstShard, audit.Record{
 		Kind: audit.FlowAllowed, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: srcComp.entity.ID(), Dst: dstComp.entity.ID(),
 		SrcCtx: srcCtx, DstCtx: dstCtx,
 		DataID: m.DataID, Agent: srcComp.principal,
 		Note: deliveryNote(quenched), TraceID: m.Trace.ID.String(),
-	}, m.Stage)
+	}, m.Trace.Clock)
 	// Count before invoking the handler: the delivery is decided once
 	// policy passes, and anything the handler unblocks (tests, examples
 	// waiting on a message) must already see it in ShardStats.
 	b.shards[ch.dstShard].delivered.Add(1)
 	dstComp.delivered.Add(1)
-	out.Stage.MarkDeliver()
+	out.Trace.Clock.MarkDeliver()
 	if dstComp.handler != nil {
 		dstComp.handler(out, Delivery{
 			From:     b.name + ":" + srcComp.Name() + "." + srcEP.Name,

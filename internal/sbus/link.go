@@ -1035,9 +1035,9 @@ func (b *Bus) sendRemote(srcComp *Component, srcEP EndpointSpec, remoteBus, remo
 		Agent:           srcComp.principal,
 		Trace:           m.Trace,
 	}
-	if m.Stage != nil {
-		// Stage-attributed flow: stamp link egress so the receiver can
-		// observe the link-hop edge and resume the stage clock.
+	if m.Trace.Clock != nil {
+		// Sampled flow: stamp link egress so the receiver can observe the
+		// link-hop edge and resume the stage clock.
 		f.EgressNs = uint64(time.Now().UnixNano())
 	}
 	buf, err := appendMessageFrame(nil, &f, m)
@@ -1244,12 +1244,12 @@ func (l *link) deliverIngress(f LinkFrame) {
 	}
 	m.Trace = tc
 	if f.EgressNs != 0 {
-		// Stage-attributed frame: observe the link-hop edge (sender egress
-		// to local ingress — wall clocks, so cross-host skew shifts it) and
-		// resume the stage clock so downstream edges attribute locally.
+		// Sampled frame: observe the link-hop edge (sender egress to local
+		// ingress — wall clocks, so cross-host skew shifts it) and resume
+		// the stage clock so downstream edges attribute locally.
 		now := time.Now().UnixNano()
 		l.stageHop.Observe(now - int64(f.EgressNs))
-		m.Stage = telemetry.ResumeStageClock(now)
+		m.Trace.Clock = telemetry.ResumeStageClock(now)
 	}
 	// Message-layer enforcement against the local schema definition.
 	clearance := dstComp.Clearance()
@@ -1274,7 +1274,7 @@ func (l *link) deliverIngress(f LinkFrame) {
 			telemetry.RecordSpan(tc, b.name, "deliver", f.Src, string(dstComp.entity.ID()), "")
 		}
 		dstComp.delivered.Add(1)
-		out.Stage.MarkDeliver()
+		out.Trace.Clock.MarkDeliver()
 		dstComp.handler(out, Delivery{From: f.Src, Endpoint: dstEP.Name, Quenched: quenched})
 	}
 }

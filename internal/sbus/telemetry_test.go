@@ -144,14 +144,28 @@ func TestTraceRelayTwoHops(t *testing.T) {
 }
 
 // TestLinkTraceTrailerCrossesLink confirms the frame trailer carries the
-// trace across one link: the trace ID lands in the peer's audit records and
-// the delivered message is one hop deeper.
+// trace across one link: the trace ID lands in the peer's audit records,
+// the delivered message is one hop deeper, and the one sampling decision
+// also carried the stage clock — resumed at ingress, with the link-hop
+// edge observed once.
 func TestLinkTraceTrailerCrossesLink(t *testing.T) {
 	traceTestSetup(t)
+	if !telemetry.Enabled() {
+		telemetry.Enable()
+		t.Cleanup(telemetry.Disable)
+	}
 	home, cloud, rec := linkedBuses(t)
 	if err := home.Connect("hospital", "ann-device.out", "cloud-bus:ann-analyser.in"); err != nil {
 		t.Fatal(err)
 	}
+	hopCount := func() uint64 {
+		m, ok := telemetry.Find(telemetry.Snapshot(), "stage_link_hop_ns", "bus", "cloud-bus", "peer", "home-bus")
+		if !ok || m.Hist == nil {
+			t.Fatal("no stage_link_hop_ns{bus=cloud-bus,peer=home-bus} series")
+		}
+		return m.Hist.Count
+	}
+	hopsBefore := hopCount()
 	dev, _ := home.Component("ann-device")
 	if n, err := dev.Publish("out", vitalsMessage("ann", 72)); err != nil || n != 1 {
 		t.Fatalf("publish = %d, %v", n, err)
@@ -166,5 +180,11 @@ func TestLinkTraceTrailerCrossesLink(t *testing.T) {
 	m, _ := rec.last()
 	if m.Trace.IsZero() || m.Trace.Hop != 1 {
 		t.Fatalf("delivered message trace = %+v, want hop 1", m.Trace)
+	}
+	if m.Trace.Clock == nil {
+		t.Fatal("delivered message carries no stage clock")
+	}
+	if got := hopCount() - hopsBefore; got != 1 {
+		t.Fatalf("stage_link_hop_ns observations = %d, want 1", got)
 	}
 }

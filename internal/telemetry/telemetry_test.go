@@ -236,8 +236,8 @@ func TestTraceSamplingRate(t *testing.T) {
 	sampled := 0
 	for i := 0; i < 100; i++ {
 		if tc, ok := StartTrace(); ok {
-			if tc.ID.IsZero() || tc.Hop != 0 {
-				t.Fatalf("sampled context = %+v", tc)
+			if tc.ID.IsZero() || tc.Hop != 0 || tc.Clock == nil {
+				t.Fatalf("sampled context = %+v, want hop 0 with a stage clock", tc)
 			}
 			sampled++
 		}

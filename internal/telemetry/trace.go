@@ -18,7 +18,9 @@ import (
 // records spans for it, so a federated path yields one trace whose hops
 // count up monotonically across nodes. Error paths always record (with a
 // minted trace ID when the message carried none), so denials and
-// degradations are visible even at low sampling rates.
+// degradations are visible even at low sampling rates. A sampled trace
+// also carries the message's stage clock (stage.go), so one sampling
+// decision arms both.
 
 // A TraceID is a 128-bit flow identifier, rendered as 32 hex digits.
 type TraceID struct {
@@ -58,12 +60,16 @@ func ParseTraceID(s string) (TraceID, bool) {
 	return t, !t.IsZero()
 }
 
-// A TraceContext travels with a message: the trace ID and the number of
-// bus hops the message has taken so far (0 at the publishing node,
-// incremented at each link ingress).
+// A TraceContext travels with a message: the trace ID, the number of bus
+// hops the message has taken so far (0 at the publishing node, incremented
+// at each link ingress) and the stage clock that attributes its latency
+// (armed with every head-sampled trace and resumed at link ingress; nil on
+// error-minted traces). The link trailer carries ID and Hop; the clock
+// crosses as an egress timestamp.
 type TraceContext struct {
-	ID  TraceID
-	Hop uint8
+	ID    TraceID
+	Hop   uint8
+	Clock *StageClock
 }
 
 // IsZero reports whether the context carries no trace.
@@ -102,7 +108,7 @@ func newTraceID() TraceID {
 
 // StartTrace makes the head sampling decision for one publish: one atomic
 // load when sampling is disabled. When sampled it returns a fresh context
-// at hop 0.
+// at hop 0 with an armed stage clock.
 func StartTrace() (TraceContext, bool) {
 	n := sampleEvery.Load()
 	if n == 0 {
@@ -111,7 +117,7 @@ func StartTrace() (TraceContext, bool) {
 	if sampleTick.Add(1)%n != 0 {
 		return TraceContext{}, false
 	}
-	return TraceContext{ID: newTraceID()}, true
+	return TraceContext{ID: newTraceID(), Clock: ResumeStageClock(time.Now().UnixNano())}, true
 }
 
 // A Span is one timestamped event on a trace: a publish, bus delivery,

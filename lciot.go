@@ -280,17 +280,13 @@ var (
 	// TelemetrySnapshot reads every series in the default registry.
 	TelemetrySnapshot = telemetry.Snapshot
 	// SetTraceSampling sets head-based flow-trace sampling: every n-th
-	// publish starts a trace; 0 disables (error spans still record).
+	// publish starts a trace and arms its stage clock, which feeds the
+	// stage_*_ns histograms; 0 disables (error spans still record).
 	SetTraceSampling = telemetry.SetTraceSampling
 	// TraceSampling reports the current head-sampling rate.
 	TraceSampling = telemetry.TraceSampling
 	// FlowTraces groups the buffered span events by trace, oldest first.
 	FlowTraces = telemetry.Traces
-	// SetStageSampling arms per-message stage-latency attribution on every
-	// n-th publish; 0 disables (the default — one atomic load per publish).
-	SetStageSampling = telemetry.SetStageSampling
-	// StageSampling reports the current stage-attribution sampling rate.
-	StageSampling = telemetry.StageSampling
 )
 
 // TCP is the production transport over real sockets.

@@ -77,6 +77,8 @@ check 'advances on every AddEdge' \
     'the provenance epoch advances only when the edge set changes; re-adding a present edge is a no-op'
 check 'remains the synchronous path' \
     'audit.Log has one ingest path: every record stages and commits in ticket order (Log.Append is gone)'
+check 'stage-sample|SetStageSampling|stage_sample' \
+    'stage attribution rides the sampled flow trace; `-trace-sample` is the one rate'
 
 if [ "$fail" -eq 0 ]; then
     echo "docs-freshness: OK"
