@@ -26,15 +26,14 @@ type channelKey struct {
 // cached pointers stay valid for the channel's lifetime, and every dynamic
 // property (context, clearance, quarantine) is re-read per delivery.
 type channel struct {
-	key channelKey
-	// srcComp is the source component (resolved at establishment).
+	key     channelKey
 	srcComp *Component
+	srcEP   EndpointSpec
 	// remoteBus/remoteDst are set when the sink lives on a linked bus, along
-	// with srcEP and agent, which the link layer needs to replay the connect
+	// with agent, which the link layer needs to replay the connect
 	// handshake when a broken link resumes.
 	remoteBus string
 	remoteDst string
-	srcEP     EndpointSpec
 	agent     ifc.PrincipalID
 	// dstComp/dstEP are set for local sinks.
 	dstComp *Component
@@ -516,7 +515,7 @@ func (b *Bus) police(by ifc.PrincipalID, src, dst string, snap ctxmodel.Snapshot
 
 	ch := &channel{
 		key:     channelKey{src: src, dst: rest},
-		srcComp: srcComp, dstComp: dstComp, dstEP: dstEP,
+		srcComp: srcComp, srcEP: srcEP, dstComp: dstComp, dstEP: dstEP,
 	}
 	ch.verified.Store(&chanStamp{srcGen: srcGen, dstGen: dstGen, flowGen: flowGen})
 	return ch, nil
@@ -650,14 +649,14 @@ func (b *Bus) publish(c *Component, endpoint string, m *msg.Message) (int, error
 			continue
 		}
 		if ch.dstShard == c.shard {
-			if b.deliverLocal(c, ep, ch, m) {
+			if b.deliverLocal(ch, m) {
 				delivered++
 			}
 			continue
 		}
-		if b.shards[ch.dstShard].tryHandoff(b, handoff{srcComp: c, srcEP: ep, ch: ch, m: m}) {
+		if b.shards[ch.dstShard].tryHandoff(b, handoff{ch: ch, m: m}) {
 			delivered++
-		} else if b.deliverLocal(c, ep, ch, m) {
+		} else if b.deliverLocal(ch, m) {
 			delivered++
 		}
 	}
@@ -665,68 +664,89 @@ func (b *Bus) publish(c *Component, endpoint string, m *msg.Message) (int, error
 	return delivered, nil
 }
 
-// deliverLocal enforces per-message policy and invokes the sink handler.
-// The delivery pipeline (Section 8.2.2): OS-level IFC re-check (contexts
-// may have changed since establishment), message-type clearance, attribute
+// A delivery is one message bound for a local sink: deliverLocal and link
+// ingress each fill one in for deliver.
+type delivery struct {
+	src             ifc.EntityID // the audited sender: a component, or a peer's endpoint
+	srcCtx          ifc.SecurityContext
+	agent           ifc.PrincipalID
+	srcBus, srcAddr string // "component.endpoint" on srcBus, or a peer's "bus:component.endpoint"
+	dst             *Component
+	dstEP           EndpointSpec
+	schema          *msg.Schema // the source endpoint's locally, the sink's own at ingress
+	path            string      // "delivery" or "ingress": prefixes denial notes
+}
+
+// deliverLocal delivers down a local channel, on the publisher's goroutine
+// or the sink shard's dispatcher.
+func (b *Bus) deliverLocal(ch *channel, m *msg.Message) bool {
+	src := ch.srcComp
+	return b.deliver(&delivery{
+		src: src.entity.ID(), srcCtx: src.Context(), agent: src.principal,
+		srcBus: b.name, srcAddr: ch.key.src,
+		dst: ch.dstComp, dstEP: ch.dstEP, schema: ch.srcEP.Schema, path: "delivery",
+	}, m)
+}
+
+// deliver enforces per-message policy and invokes the sink handler: the
+// one delivery pipeline (Section 8.2.2) that local channels and link
+// ingress share. Sink quarantine, the OS-level IFC re-check (contexts may
+// have changed since establishment), message-type clearance, attribute
 // quenching, then handler invocation. Every outcome is audited (the audit
 // records are staged per shard off the delivery path; see
 // audit.Log.AppendAsyncOn).
-// Runs on the publisher's goroutine for same-shard sinks and on the
-// destination shard's dispatcher for cross-shard handoffs.
-func (b *Bus) deliverLocal(srcComp *Component, srcEP EndpointSpec, ch *channel, m *msg.Message) bool {
-	dstComp, dstEP := ch.dstComp, ch.dstEP
-	srcCtx, dstCtx := srcComp.Context(), dstComp.Context()
+func (b *Bus) deliver(d *delivery, m *msg.Message) bool {
+	dstComp := d.dst
+	dstCtx := dstComp.Context()
+	deny := func(note string) {
+		b.auditDeniedTrace(m.Trace, d.src, dstComp.entity.ID(), d.srcCtx, dstCtx, d.agent, m.DataID, note)
+	}
 
 	if dstComp.Quarantined() {
-		b.auditDeniedTrace(m.Trace, srcComp.entity.ID(), dstComp.entity.ID(), srcCtx, dstCtx,
-			srcComp.principal, m.DataID, "delivery denied: destination quarantined")
+		deny(d.path + " denied: destination quarantined")
 		return false
 	}
 	// OS-level IFC re-check on every message (cached per context pair).
-	if err := ifc.EnforceFlow(srcCtx, dstCtx); err != nil {
-		b.auditDeniedTrace(m.Trace, srcComp.entity.ID(), dstComp.entity.ID(), srcCtx, dstCtx,
-			srcComp.principal, m.DataID, "delivery denied by IFC: "+err.Error())
+	if err := ifc.EnforceFlow(d.srcCtx, dstCtx); err != nil {
+		deny(d.path + " denied by IFC: " + err.Error())
 		return false
 	}
 	// Message-layer type tags (Fig. 10): whole message needs clearance.
 	clearance := dstComp.Clearance()
-	if !srcEP.Schema.Secrecy.Subset(clearance) {
-		b.auditDeniedTrace(m.Trace, srcComp.entity.ID(), dstComp.entity.ID(), srcCtx, dstCtx,
-			srcComp.principal, m.DataID,
-			fmt.Sprintf("delivery denied: type tags %s exceed clearance %s", srcEP.Schema.Secrecy, clearance))
+	if !d.schema.Secrecy.Subset(clearance) {
+		deny(d.path + " denied: type tags " + d.schema.Secrecy.String() + " exceed clearance " + clearance.String())
 		return false
 	}
 	// Attribute-level source quenching.
-	out, quenched := srcEP.Schema.Quench(m, clearance)
+	out, quenched := d.schema.Quench(m, clearance)
 
-	if !m.Trace.IsZero() { // guard: skip the src/dst formatting for untraced flows
-		telemetry.RecordSpan(m.Trace, b.name, "deliver",
-			srcComp.Name()+"."+srcEP.Name, dstComp.Name()+"."+dstEP.Name, "")
+	if !m.Trace.IsZero() { // guard: skip the dst formatting for untraced flows
+		telemetry.RecordSpan(m.Trace, b.name, "deliver", d.srcAddr, dstComp.Name()+"."+d.dstEP.Name, "")
 	}
-	// Stage the record in the destination shard's audit lane: the lane is
+	// Stage the record in the sink's shard audit lane: the lane is
 	// uncontended when this runs on that shard's dispatcher, so parallel
 	// deliveries never serialise on audit ingest. A sampled message
 	// threads its stage clock through so the audit edge is marked at
 	// commit.
-	b.log.AppendAsyncOn(ch.dstShard, audit.Record{
+	b.log.AppendAsyncOn(dstComp.shard, audit.Record{
 		Kind: audit.FlowAllowed, Layer: audit.LayerMessaging, Domain: b.name,
-		Src: srcComp.entity.ID(), Dst: dstComp.entity.ID(),
-		SrcCtx: srcCtx, DstCtx: dstCtx,
-		DataID: m.DataID, Agent: srcComp.principal,
+		Src: d.src, Dst: dstComp.entity.ID(),
+		SrcCtx: d.srcCtx, DstCtx: dstCtx,
+		DataID: m.DataID, Agent: d.agent,
 		Note: deliveryNote(quenched), TraceID: m.Trace.ID.String(),
 	}, m.Trace.Clock)
 	// Count before invoking the handler: the delivery is decided once
 	// policy passes, and anything the handler unblocks (tests, examples
 	// waiting on a message) must already see it in ShardStats.
-	b.shards[ch.dstShard].delivered.Add(1)
+	b.shards[dstComp.shard].delivered.Add(1)
 	dstComp.delivered.Add(1)
 	out.Trace.Clock.MarkDeliver()
 	if dstComp.handler != nil {
-		dstComp.handler(out, Delivery{
-			From:     b.name + ":" + srcComp.Name() + "." + srcEP.Name,
-			Endpoint: dstEP.Name,
-			Quenched: quenched,
-		})
+		from := d.srcAddr
+		if d.srcBus != "" {
+			from = d.srcBus + ":" + from
+		}
+		dstComp.handler(out, Delivery{From: from, Endpoint: d.dstEP.Name, Quenched: quenched})
 	}
 	return true
 }

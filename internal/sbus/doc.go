@@ -17,7 +17,9 @@
 //     components, "executed as though the application had initiated them".
 //   - Cross-bus links over package transport, so two machines' substrates
 //     enforce co-operatively (Fig. 9): the sender's bus checks egress, the
-//     receiver's bus re-checks ingress against its own view. Links speak
+//     receiver's bus re-checks ingress against its own view, in the
+//     pipeline local deliveries run; only the link gates (a local sink, an
+//     established channel, admission, decode) are its own. Links speak
 //     the batched binary link protocol v5 (wire.go) through a bounded,
 //     backpressured per-peer egress queue, and dialed links self-heal:
 //     reconnect with exponential backoff, then resume the session by

@@ -1050,12 +1050,13 @@ func (b *Bus) sendRemote(srcComp *Component, srcEP EndpointSpec, remoteBus, remo
 	if !m.Trace.IsZero() { // guard: skip the dst formatting for untraced flows
 		telemetry.RecordSpan(m.Trace, b.name, "egress", f.Src, remoteBus+":"+remoteDst, "")
 	}
-	b.log.AppendAsync(audit.Record{
+	// With the stage clock, so a sampled flow closes its audit edge here too.
+	b.log.AppendAsyncOn(srcComp.shard, audit.Record{
 		Kind: audit.FlowAllowed, Layer: audit.LayerMessaging, Domain: b.name,
 		Src: srcComp.entity.ID(), Dst: ifc.EntityID(remoteBus + ":" + remoteDst),
 		SrcCtx: ctx, DataID: m.DataID, Agent: srcComp.principal,
 		Note: "egress to peer bus", TraceID: m.Trace.ID.String(),
-	})
+	}, m.Trace.Clock)
 	return nil
 }
 
@@ -1189,7 +1190,9 @@ func (l *link) acceptIngress(f LinkFrame) error {
 	return nil
 }
 
-// deliverIngress enforces and delivers one inbound cross-bus message.
+// deliverIngress runs the link's own gates on one inbound message, cheap
+// ones before decode, then the bus's delivery pipeline, which re-checks it
+// against the sink's own view (Fig. 9) as it does a local delivery.
 func (l *link) deliverIngress(f LinkFrame) {
 	b := l.bus
 	l.mu.Lock()
@@ -1203,43 +1206,34 @@ func (l *link) deliverIngress(f LinkFrame) {
 	if !f.Trace.IsZero() {
 		tc = telemetry.TraceContext{ID: f.Trace.ID, Hop: f.Trace.Hop + 1}
 	}
-
-	dstComp, dstEP, err := b.resolveLocal(f.Dst, Sink)
-	if err != nil {
-		return
-	}
 	srcCtx := ifc.SecurityContext{
 		Secrecy: f.SrcSecrecy, Integrity: f.SrcIntegrity,
 		Jurisdiction: f.SrcJurisdiction, Purpose: f.SrcPurpose,
 	}
-	dstCtx := dstComp.Context()
 
-	if !established {
-		b.auditDeniedTrace(tc, ifc.EntityID(f.Src), dstComp.entity.ID(), srcCtx, dstCtx,
-			f.Agent, "", "ingress denied: no established channel")
+	// The peer chose Dst: one naming no local sink is audited, not dropped.
+	dstComp, dstEP, err := b.resolveLocal(f.Dst, Sink)
+	if err != nil {
+		b.auditDeniedTrace(tc, ifc.EntityID(f.Src), ifc.EntityID(f.Dst), srcCtx, ifc.SecurityContext{},
+			f.Agent, "", "ingress denied: no such sink: "+f.Dst)
 		return
 	}
-	if dstComp.Quarantined() {
-		b.auditDeniedTrace(tc, ifc.EntityID(f.Src), dstComp.entity.ID(), srcCtx, dstCtx,
-			f.Agent, "", "ingress denied: destination quarantined")
+	deny := func(note string) {
+		b.auditDeniedTrace(tc, ifc.EntityID(f.Src), dstComp.entity.ID(), srcCtx, dstComp.Context(),
+			f.Agent, "", note)
+	}
+	if !established {
+		deny("ingress denied: no established channel")
 		return
 	}
 	// The sender's context may have changed since the connect; re-admit it.
 	if err := b.admit(srcCtx); err != nil {
-		b.auditDeniedTrace(tc, ifc.EntityID(f.Src), dstComp.entity.ID(), srcCtx, dstCtx,
-			f.Agent, "", "ingress refused by admission policy: "+err.Error())
-		return
-	}
-	// Ingress IFC re-check with the sender's *current* context.
-	if err := ifc.EnforceFlow(srcCtx, dstCtx); err != nil {
-		b.auditDeniedTrace(tc, ifc.EntityID(f.Src), dstComp.entity.ID(), srcCtx, dstCtx,
-			f.Agent, "", "ingress denied by IFC: "+err.Error())
+		deny("ingress refused by admission policy: " + err.Error())
 		return
 	}
 	m, err := msg.DecodeBinary(f.Payload)
 	if err != nil {
-		b.auditDeniedTrace(tc, ifc.EntityID(f.Src), dstComp.entity.ID(), srcCtx, dstCtx,
-			f.Agent, "", "ingress denied: undecodable payload")
+		deny("ingress denied: undecodable payload")
 		return
 	}
 	m.Trace = tc
@@ -1251,30 +1245,12 @@ func (l *link) deliverIngress(f LinkFrame) {
 		l.stageHop.Observe(now - int64(f.EgressNs))
 		m.Trace.Clock = telemetry.ResumeStageClock(now)
 	}
-	// Message-layer enforcement against the local schema definition.
-	clearance := dstComp.Clearance()
-	if !dstEP.Schema.Secrecy.Subset(clearance) {
-		b.auditDeniedTrace(tc, ifc.EntityID(f.Src), dstComp.entity.ID(), srcCtx, dstCtx,
-			f.Agent, m.DataID, "ingress denied: type tags exceed clearance")
-		return
-	}
-	out, quenched := dstEP.Schema.Quench(m, clearance)
-
 	if !tc.IsZero() {
 		telemetry.RecordSpan(tc, b.name, "ingress", f.Src, string(dstComp.entity.ID()), "")
 	}
-	b.log.AppendAsync(audit.Record{
-		Kind: audit.FlowAllowed, Layer: audit.LayerMessaging, Domain: b.name,
-		Src: ifc.EntityID(f.Src), Dst: dstComp.entity.ID(),
-		SrcCtx: srcCtx, DstCtx: dstCtx, DataID: m.DataID, Agent: f.Agent,
-		Note: deliveryNote(quenched), TraceID: tc.ID.String(),
-	})
-	if dstComp.handler != nil {
-		if !tc.IsZero() {
-			telemetry.RecordSpan(tc, b.name, "deliver", f.Src, string(dstComp.entity.ID()), "")
-		}
-		dstComp.delivered.Add(1)
-		out.Trace.Clock.MarkDeliver()
-		dstComp.handler(out, Delivery{From: f.Src, Endpoint: dstEP.Name, Quenched: quenched})
-	}
+	// Enforced against the sink's own schema, not the peer's copy of it.
+	b.deliver(&delivery{
+		src: ifc.EntityID(f.Src), srcCtx: srcCtx, agent: f.Agent, srcAddr: f.Src,
+		dst: dstComp, dstEP: dstEP, schema: dstEP.Schema, path: "ingress",
+	}, m)
 }

@@ -233,6 +233,39 @@ func TestCrossBusMessageWithoutChannelDropped(t *testing.T) {
 	}
 }
 
+// TestCrossBusMessageToUnknownSinkAudited: the peer chooses a frame's
+// Dst, so one naming no local sink is refused with an audit record that
+// names the address, not dropped silently.
+func TestCrossBusMessageToUnknownSinkAudited(t *testing.T) {
+	home, cloud, rec := linkedBuses(t)
+	l, err := home.linkFor("cloud-bus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := msg.EncodeBinary(vitalsMessage("ann", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := annCtx()
+	if err := l.sendFrame(&LinkFrame{
+		Kind: "message", Src: "home-bus:ann-device.out", Dst: "nobody.in",
+		SrcSecrecy: ctx.Secrecy, SrcIntegrity: ctx.Integrity,
+		Schema: "vitals", Payload: payload,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		denied := cloud.Log().Select(func(r audit.Record) bool {
+			return r.Kind == audit.FlowDenied && r.Note == "ingress denied: no such sink: nobody.in" &&
+				r.Dst == "nobody.in" && r.Src == "home-bus:ann-device.out"
+		})
+		return len(denied) == 1
+	}, "unknown-sink ingress denial")
+	if rec.count() != 0 {
+		t.Fatal("message to an unknown sink was delivered")
+	}
+}
+
 func TestCrossBusConnectToUnlinkedBus(t *testing.T) {
 	home, _, _ := linkedBuses(t)
 	err := home.Connect("hospital", "ann-device.out", "mars-bus:x.in")

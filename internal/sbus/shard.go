@@ -34,10 +34,8 @@ const maxShards = 1024
 // A handoff is one cross-shard delivery parked on the destination shard's
 // ring, carrying everything deliverLocal needs.
 type handoff struct {
-	srcComp *Component
-	srcEP   EndpointSpec
-	ch      *channel
-	m       *msg.Message
+	ch *channel
+	m  *msg.Message
 }
 
 // A shard owns a horizontal slice of the bus: the components whose names
@@ -83,12 +81,12 @@ func (sh *shard) dispatch(b *Bus) {
 	for {
 		select {
 		case h := <-sh.ring:
-			b.deliverLocal(h.srcComp, h.srcEP, h.ch, h.m)
+			b.deliverLocal(h.ch, h.m)
 		case <-b.quit:
 			for {
 				select {
 				case h := <-sh.ring:
-					b.deliverLocal(h.srcComp, h.srcEP, h.ch, h.m)
+					b.deliverLocal(h.ch, h.m)
 				default:
 					return
 				}
@@ -175,7 +173,8 @@ type ShardStats struct {
 	Components int
 	Channels   int
 	// Delivered counts successful deliveries to sinks homed on this shard
-	// (whether executed inline or by the shard's dispatcher).
+	// (whether executed inline, by the shard's dispatcher or at link
+	// ingress).
 	Delivered uint64
 	// HandoffsIn counts cross-shard deliveries accepted onto the ring.
 	HandoffsIn uint64
