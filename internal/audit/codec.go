@@ -15,14 +15,25 @@ import (
 // style of msg.AppendBinary: the encoder appends to a caller-owned buffer,
 // so steady-state encoding allocates nothing.
 //
-// Layout (all integers big-endian):
+// Layout (all integers big-endian; byte offsets on the left):
 //
-//	u8  version (recordWireV3)
-//	u64 seq | s64 unixSec | u32 nsec | u8 kind | u8 layer | u8 flags
-//	15 × (u32 len | bytes): domain, src, dst,
+//	 0  u8  version (recordWireV3)
+//	 1  u64 seq | 9 s64 unixSec | 17 u32 nsec | 21 u8 kind | 22 u8 layer
+//	23  u8  flags
+//	24  15 × (u32 len | bytes): domain, src, dst,
 //	                        srcS, srcI, srcJ, srcP, dstS, dstI, dstJ, dstP,
 //	                        dataID, agent, note, traceID
-//	32B prevHash | 32B hash
+//	    32B prevHash | 32B hash (the last 64 bytes)
+//
+// The chained hash preimage (computeHash in record.go) is the wire form
+// minus the version byte, the flags byte and the stored hash:
+//
+//	preimage = wire[1:23] ‖ wire[24:len-32]
+//
+// so a record whose fields are in their canonical forms can be verified
+// from its bytes alone (VerifyRecordBinary). The two layouts are kept in
+// step by a test over random records; changing either means changing
+// both.
 //
 // v2 extended v1 with the obligation facet labels of both contexts and a
 // flags byte whose low bit marks a chain-preserving tombstone (a record
@@ -31,15 +42,23 @@ import (
 // payload field.
 //
 // Security-context labels travel as their canonical String forms (labels
-// are interned, so String is a pointer read) and are re-interned by
-// ifc.ParseLabel on decode; the hashes are carried verbatim, so a decoded
-// record verifies against the same chain it was encoded from.
+// are interned, so String is a pointer read) and are re-interned on
+// decode — by lookup when the label is already interned (ifc.CanonicalLabel),
+// by ifc.ParseLabel otherwise; the hashes are carried verbatim, so a
+// decoded record verifies against the same chain it was encoded from.
 
 // recordWireV3 is the current binary record version byte.
 const recordWireV3 = 3
 
 // recordFlagRedacted marks a tombstone in the record flags byte.
 const recordFlagRedacted = 1 << 0
+
+// Fixed offsets of the wire form (see the layout above).
+const (
+	wireFlagsAt  = 23 // the flags byte, outside the hash preimage
+	wireFieldsAt = 24 // the first length-prefixed field
+	wireHashLen  = 32
+)
 
 // ErrRecordCodec is the sentinel for malformed binary records.
 var ErrRecordCodec = errors.New("audit: malformed binary record")
@@ -113,7 +132,7 @@ func DecodeRecordBinary(data []byte) (Record, error) {
 	r.Redacted = data[off+2]&recordFlagRedacted != 0
 	off += 3
 
-	var fields [15]string
+	var fields [15][]byte
 	for i := range fields {
 		if err := need(4); err != nil {
 			return r, err
@@ -123,26 +142,29 @@ func DecodeRecordBinary(data []byte) (Record, error) {
 		if err := need(n); err != nil {
 			return r, err
 		}
-		fields[i] = string(data[off : off+n])
+		fields[i] = data[off : off+n]
 		off += n
 	}
-	r.Domain = fields[0]
+	r.Domain = string(fields[0])
 	r.Src = ifc.EntityID(fields[1])
 	r.Dst = ifc.EntityID(fields[2])
 	for i, dst := range [...]*ifc.Label{
 		&r.SrcCtx.Secrecy, &r.SrcCtx.Integrity, &r.SrcCtx.Jurisdiction, &r.SrcCtx.Purpose,
 		&r.DstCtx.Secrecy, &r.DstCtx.Integrity, &r.DstCtx.Jurisdiction, &r.DstCtx.Purpose,
 	} {
-		l, err := ifc.ParseLabel(fields[3+i])
-		if err != nil {
-			return r, fmt.Errorf("%w: context label %d: %v", ErrRecordCodec, i, err)
+		l, ok := ifc.CanonicalLabel(fields[3+i])
+		if !ok {
+			var err error
+			if l, err = ifc.ParseLabel(string(fields[3+i])); err != nil {
+				return r, fmt.Errorf("%w: context label %d: %v", ErrRecordCodec, i, err)
+			}
 		}
 		*dst = l
 	}
-	r.DataID = fields[11]
+	r.DataID = string(fields[11])
 	r.Agent = ifc.PrincipalID(fields[12])
-	r.Note = fields[13]
-	r.TraceID = fields[14]
+	r.Note = string(fields[13])
+	r.TraceID = string(fields[14])
 
 	if err := need(64); err != nil {
 		return r, err
@@ -154,4 +176,57 @@ func DecodeRecordBinary(data []byte) (Record, error) {
 		return r, fmt.Errorf("%w: %d trailing bytes", ErrRecordCodec, len(data)-off)
 	}
 	return r, nil
+}
+
+// VerifyRecordBinary proves one binary record's content hash from its
+// bytes, without decoding it: it checks the layout, checks that every
+// context label is spelled in its canonical interned form, and hashes the
+// preimage straight out of the wire form (wire[1:23] ‖ wire[24:len-32]).
+// ok reports that decoding data and calling HashRecord would succeed and
+// give the stored hash; seq, prev and hash are then the record's.
+//
+// ok is false — "not proven", not "forged" — whenever the bytes alone
+// cannot show that: a malformed or other-version record, a tombstone
+// (linkage-only, checked on the decoded record), nsec outside [0, 1e9)
+// (decode normalises the time, so its preimage differs from the bytes), a
+// label that is not the canonical form of a valid interned label, or a
+// hash that does not match. Callers fall back to DecodeRecordBinary and
+// HashRecord for the verdict.
+func VerifyRecordBinary(data []byte) (seq uint64, prev, hash [32]byte, ok bool) {
+	if len(data) < wireFieldsAt || data[0] != recordWireV3 ||
+		data[wireFlagsAt]&recordFlagRedacted != 0 || // a tombstone: linkage only
+		binary.BigEndian.Uint32(data[17:]) >= 1e9 { // nsec: decode would normalise the time
+		return
+	}
+	off := wireFieldsAt
+	for i := 0; i < 15; i++ {
+		if len(data)-off < 4 {
+			return
+		}
+		n := binary.BigEndian.Uint32(data[off:])
+		off += 4
+		if uint64(len(data)-off) < uint64(n) {
+			return
+		}
+		if i >= 3 && i <= 10 { // the eight context labels
+			if _, canon := ifc.CanonicalLabel(data[off : off+int(n)]); !canon {
+				return
+			}
+		}
+		off += int(n)
+	}
+	if len(data)-off != 2*wireHashLen {
+		return
+	}
+	s := hasherPool.Get().(*hashScratch)
+	s.h.Reset()
+	s.h.Write(data[1:wireFlagsAt])
+	s.h.Write(data[wireFieldsAt : len(data)-wireHashLen])
+	sum := [32]byte(s.h.Sum(s.sum[:0]))
+	hasherPool.Put(s)
+	if string(sum[:]) != string(data[len(data)-wireHashLen:]) {
+		return
+	}
+	copy(prev[:], data[off:])
+	return binary.BigEndian.Uint64(data[1:]), prev, sum, true
 }

@@ -174,6 +174,7 @@ func ValidTombstone(r *Record) bool {
 type hashScratch struct {
 	h   hash.Hash
 	buf []byte
+	sum [sha256.Size]byte // Sum target: a local array would escape through the interface
 }
 
 var hasherPool = sync.Pool{
@@ -183,6 +184,11 @@ var hasherPool = sync.Pool{
 // computeHash derives the record's chained hash. Labels are interned with
 // their canonical strings (package ifc), so the context fields hash without
 // re-rendering; the whole computation is allocation-free in steady state.
+//
+// The preimage is the binary wire form (codec.go) minus its version byte,
+// flags byte and stored hash — wire[1:23] ‖ wire[24:len-32] — which is
+// what lets VerifyRecordBinary prove a stored record from its bytes. A
+// test pins the two layouts together; change them together.
 //
 // The hash preimage layout is an internal detail of this package version:
 // chains and exported segments verify against the code that produced them,
@@ -210,8 +216,7 @@ func computeHash(r *Record) [32]byte {
 	b = append(b, r.PrevHash[:]...)
 	s.h.Reset()
 	s.h.Write(b)
-	var out [32]byte
-	s.h.Sum(out[:0])
+	out := [32]byte(s.h.Sum(s.sum[:0]))
 	s.buf = b
 	hasherPool.Put(s)
 	return out

@@ -32,6 +32,11 @@ type labelRec struct {
 	ids  []uint32 // ids[i] is the intern ID of tags[i]
 	key  uint64   // unique per distinct label; 0 is reserved for the empty label
 	str  string   // canonical form "{a,b,c}", also the intern-table key
+	// canon reports that ParseLabel(str) rebuilds exactly this label: every
+	// tag validates and has no leading or trailing Unicode space (which
+	// ParseLabel trims). Labels built unchecked (OwnerPrivileges, With,
+	// Without) may fail it; only canon labels answer canonical lookups.
+	canon bool
 }
 
 var interned = struct {
@@ -93,9 +98,53 @@ func internLabel(tags []Tag, ids []uint32) *labelRec {
 		}
 	}
 	interned.nextLabel++
-	rec = &labelRec{tags: tags, ids: ids, key: interned.nextLabel, str: str}
+	rec = &labelRec{tags: tags, ids: ids, key: interned.nextLabel, str: str, canon: parsesBack(tags)}
 	interned.labels[str] = rec
 	return rec
+}
+
+// parsesBack reports whether ParseLabel rebuilds the tag set from its
+// canonical string: every tag valid and already space-trimmed.
+func parsesBack(tags []Tag) bool {
+	for _, t := range tags {
+		if !t.Valid() || strings.TrimSpace(string(t)) != string(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// lookupCanonical returns the interned label whose canonical string is
+// exactly s, when ParseLabel(s) would rebuild that label: one read lock
+// and one map read, no parsing, no allocation.
+func lookupCanonical(s string) (Label, bool) {
+	interned.mu.RLock()
+	rec := interned.labels[s]
+	interned.mu.RUnlock()
+	if rec == nil || !rec.canon {
+		return Label{}, false
+	}
+	return Label{rec: rec}, true
+}
+
+// CanonicalLabel is the allocation-free []byte form of ParseLabel's fast
+// path, for decoders and verifiers reading labels straight out of a wire
+// buffer. It reports the label whose canonical String form is exactly b —
+// "∅" for the empty label, otherwise an interned label whose tags are all
+// valid — and false for anything else, including labels this process has
+// never interned and non-canonical spellings ParseLabel would accept. A
+// true answer equals ParseLabel(string(b)) and its String() equals b.
+func CanonicalLabel(b []byte) (Label, bool) {
+	if string(b) == "∅" {
+		return Label{}, true
+	}
+	interned.mu.RLock()
+	rec := interned.labels[string(b)]
+	interned.mu.RUnlock()
+	if rec == nil || !rec.canon {
+		return Label{}, false
+	}
+	return Label{rec: rec}, true
 }
 
 // internTagLocked assigns (or returns) the intern ID of a tag. Callers must

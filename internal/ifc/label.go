@@ -47,8 +47,19 @@ func MustLabel(tags ...Tag) Label {
 }
 
 // ParseLabel parses the canonical form produced by String, e.g.
-// "{medical,ann}". The empty set may be written "{}" or "∅".
+// "{ann,medical}". The empty set may be written "{}" or "∅". Tags are
+// validated, sorted and deduplicated, so "{ medical, ann }" parses too.
+//
+// The canonical string of a label this process has already interned is
+// answered by lookup (see CanonicalLabel): one read lock and one map read,
+// no splitting, validation or allocation. The lookup answers only for
+// labels whose every tag is valid and already trimmed, so a label built
+// unchecked (OwnerPrivileges("bad tag")) is still refused, and every
+// other input takes the full parse.
 func ParseLabel(s string) (Label, error) {
+	if l, ok := lookupCanonical(s); ok {
+		return l, nil
+	}
 	s = strings.TrimSpace(s)
 	if s == "∅" || s == "{}" {
 		return Label{}, nil

@@ -268,3 +268,68 @@ func TestLabelTagsSorted(t *testing.T) {
 		t.Error("Tags() not sorted:", err)
 	}
 }
+
+// TestParseLabelLookupRefusesUncheckedLabels pins the canonical lookup to
+// what the full parse accepts: a label interned unchecked with an invalid
+// tag has a canonical string in the intern table, but ParseLabel must
+// still refuse it, and CanonicalLabel must not answer for it.
+func TestParseLabelLookupRefusesUncheckedLabels(t *testing.T) {
+	bad := OwnerPrivileges("bad tag").AddSecrecy
+	if bad.String() != "{bad tag}" {
+		t.Fatalf("unchecked label renders %q", bad.String())
+	}
+	if _, err := ParseLabel(bad.String()); err == nil {
+		t.Fatalf("ParseLabel(%q) succeeded for an invalid tag", bad.String())
+	}
+	if _, ok := CanonicalLabel([]byte(bad.String())); ok {
+		t.Fatalf("CanonicalLabel(%q) answered for an invalid tag", bad.String())
+	}
+	mixed := MustLabel("ok").With("also bad")
+	if _, err := ParseLabel(mixed.String()); err == nil {
+		t.Fatalf("ParseLabel(%q) succeeded for an invalid tag", mixed.String())
+	}
+}
+
+// TestParseLabelLookupMatchesParse checks that the lookup answers exactly
+// as the full parse would: a valid tag with leading Unicode space (U+2003) is
+// interned under its untrimmed canonical string, which ParseLabel trims.
+func TestParseLabelLookupMatchesParse(t *testing.T) {
+	spaced := MustLabel("\u2003x", "y") // an em space, valid in a tag
+	got, err := ParseLabel(spaced.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := MustLabel("x", "y"); !got.Equal(want) {
+		t.Fatalf("ParseLabel(%q) = %v, want the trimmed %v", spaced.String(), got, want)
+	}
+	if _, ok := CanonicalLabel([]byte(spaced.String())); ok {
+		t.Fatalf("CanonicalLabel(%q) answered for a label ParseLabel rebuilds differently", spaced.String())
+	}
+	l := MustLabel("medical", "ann")
+	for _, s := range []string{"{ann,medical}", "{medical,ann}", " {ann,medical} ", "{ann, medical}"} {
+		got, err := ParseLabel(s)
+		if err != nil || !got.Equal(l) {
+			t.Fatalf("ParseLabel(%q) = %v, %v; want %v", s, got, err, l)
+		}
+	}
+	for s, want := range map[string]bool{"{ann,medical}": true, "∅": true, "{medical,ann}": false, "{}": false, "{never-interned-tag}": false} {
+		got, ok := CanonicalLabel([]byte(s))
+		if ok != want {
+			t.Fatalf("CanonicalLabel(%q) ok = %v, want %v", s, ok, want)
+		}
+		if ok && got.String() != s {
+			t.Fatalf("CanonicalLabel(%q) = %v", s, got)
+		}
+	}
+}
+
+func TestCanonicalLabelAllocatesNothing(t *testing.T) {
+	b := []byte(MustLabel("medical", "ann", "consent").String())
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := CanonicalLabel(b); !ok {
+			t.Fatal("miss")
+		}
+	}); n != 0 {
+		t.Fatalf("CanonicalLabel allocates %v times per call", n)
+	}
+}

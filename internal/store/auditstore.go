@@ -99,45 +99,57 @@ func OpenAudit(dir string, opts Options) (*AuditStore, error) {
 // verifyRange walks records [from, to) checking linkage and content
 // hashes; it leaves the hash of the last verified record in head (when
 // non-nil) and returns the seq of the first bad record on failure.
+//
+// Each record is first proven from its wire bytes, without decoding
+// (audit.VerifyRecordBinary). What that cannot prove takes verifyDecoded,
+// which alone produces refusals, bad seqs and error text.
 func (s *AuditStore) verifyRange(from, to uint64, head *[32]byte) (uint64, error) {
 	var prev [32]byte
 	first := true
 	bad := uint64(0)
 	err := s.w.ReadSeq(from, to, func(e Entry) error {
-		r, err := audit.DecodeRecordBinary(e.Payload)
-		if err != nil {
-			bad = e.Seq
-			return err
-		}
-		if r.Seq != e.Seq {
-			bad = e.Seq
-			return fmt.Errorf("%w: frame seq %d carries record seq %d", audit.ErrChainBroken, e.Seq, r.Seq)
-		}
-		if !first && r.PrevHash != prev {
-			bad = e.Seq
-			return fmt.Errorf("%w: record %d links to wrong predecessor", audit.ErrChainBroken, r.Seq)
-		}
-		// Tombstones carry the original hash but no payload: linkage (above
-		// and via the next record's PrevHash) is all that remains checkable
-		// — provided they really are payload-free, else the flag would be a
-		// forgery vector.
-		if r.Redacted {
-			if !audit.ValidTombstone(&r) {
+		seq, p, h, ok := audit.VerifyRecordBinary(e.Payload)
+		if !ok || seq != e.Seq || (!first && p != prev) {
+			var err error
+			if h, err = verifyDecoded(e, first, prev); err != nil {
 				bad = e.Seq
-				return fmt.Errorf("%w: record %d marked redacted but carries payload", audit.ErrChainBroken, r.Seq)
+				return err
 			}
-		} else if audit.HashRecord(&r) != r.Hash {
-			bad = e.Seq
-			return fmt.Errorf("%w: record %d content hash mismatch", audit.ErrChainBroken, r.Seq)
 		}
-		prev = r.Hash
-		first = false
+		prev, first = h, false
 		if head != nil {
-			*head = r.Hash
+			*head = h
 		}
 		return nil
 	})
 	return bad, err
+}
+
+// verifyDecoded checks one record in full — decode, seq, linkage to prev
+// (unless first), tombstone shape or content hash — and returns its hash.
+func verifyDecoded(e Entry, first bool, prev [32]byte) ([32]byte, error) {
+	r, err := audit.DecodeRecordBinary(e.Payload)
+	if err != nil {
+		return r.Hash, err
+	}
+	if r.Seq != e.Seq {
+		return r.Hash, fmt.Errorf("%w: frame seq %d carries record seq %d", audit.ErrChainBroken, e.Seq, r.Seq)
+	}
+	if !first && r.PrevHash != prev {
+		return r.Hash, fmt.Errorf("%w: record %d links to wrong predecessor", audit.ErrChainBroken, r.Seq)
+	}
+	// Tombstones carry the original hash but no payload: linkage (above
+	// and via the next record's PrevHash) is all that remains checkable
+	// — provided they really are payload-free, else the flag would be a
+	// forgery vector.
+	if r.Redacted {
+		if !audit.ValidTombstone(&r) {
+			return r.Hash, fmt.Errorf("%w: record %d marked redacted but carries payload", audit.ErrChainBroken, r.Seq)
+		}
+	} else if audit.HashRecord(&r) != r.Hash {
+		return r.Hash, fmt.Errorf("%w: record %d content hash mismatch", audit.ErrChainBroken, r.Seq)
+	}
+	return r.Hash, nil
 }
 
 // Verify re-checks the whole persisted chain, returning the sequence

@@ -23,4 +23,12 @@
 //     tiered offload of exactly the segments audit.Log.Prune returns.
 //   - Journal helpers used by the gateway to persist store-and-forward
 //     buffers across restarts.
+//
+// Recovery re-hashes and re-links every persisted record, working on the
+// bytes it reads: segments stream through one pooled 1 MiB buffer (every
+// frame CRC-checked; ReadSeq stops at the end of its range), and each
+// record is proven from its wire form by audit.VerifyRecordBinary, with
+// labels checked by intern-table lookup and no audit.Record built. What
+// that cannot prove is decoded and checked in full, and only that path
+// decides a refusal, so verdicts are those a full decode would give.
 package store

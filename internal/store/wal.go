@@ -672,7 +672,9 @@ func (w *WAL) snapshotSegs() []segment {
 // ReadSeq streams every committed record with from <= Seq < to (to == 0
 // means "to the end") through fn in sequence order. It syncs first, so a
 // preceding Append is always visible. fn returning an error stops the
-// scan and surfaces the error.
+// scan and surfaces the error. The scan stops at the first frame at or
+// past to; it never reads the rest of that segment. Entry.Payload is only
+// valid during fn.
 func (w *WAL) ReadSeq(from, to uint64, fn func(Entry) error) error {
 	if err := w.Sync(); err != nil {
 		return err
@@ -686,7 +688,10 @@ func (w *WAL) ReadSeq(from, to uint64, fn func(Entry) error) error {
 			continue
 		}
 		if err := scanSegment(seg.path, func(e Entry) error {
-			if e.Seq < from || e.Seq >= to {
+			if e.Seq >= to {
+				return errStopScan
+			}
+			if e.Seq < from {
 				return nil
 			}
 			return fn(e)
@@ -729,33 +734,90 @@ func (w *WAL) ReadTime(from, to time.Time, fn func(Entry) error) error {
 // errStopScan terminates a scan early without surfacing an error.
 var errStopScan = errors.New("store: stop scan")
 
-// scanSegment reads one segment file and streams its frames. A torn frame
-// ends the scan silently: it is either the in-flight tail of the active
-// segment or a tail the next Open will truncate.
+// scanBufSize is the read chunk of a segment scan. Frames are parsed in
+// place in a pooled buffer of this size, so a scan costs one buffer
+// however large the segment is, and a scan that stops early reads little
+// more of the file than it used.
+const scanBufSize = 1 << 20
+
+var scanBufs = sync.Pool{New: func() any { b := make([]byte, scanBufSize); return &b }}
+
+// scanSegment streams the frames of one segment file through fn. Every
+// frame is CRC-checked before fn sees it; Entry.Payload aliases the scan
+// buffer and is only valid during fn. A torn frame ends the scan
+// silently: it is either the in-flight tail of the active segment or a
+// tail the next Open will truncate.
 func scanSegment(path string, fn func(Entry) error) error {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	if _, err := parseSegHeader(data); err != nil {
+	defer f.Close()
+	bp := scanBufs.Get().(*[]byte)
+	buf := *bp
+	defer func() {
+		if len(buf) == scanBufSize { // a buffer grown for a huge frame is not kept
+			scanBufs.Put(bp)
+		}
+	}()
+	lo, hi := 0, 0 // buf[lo:hi] is read but not yet consumed
+	// fill makes buf[lo:hi] hold at least need bytes, compacting or growing
+	// buf as needed; it reports false when the file ends first.
+	fill := func(need int) (bool, error) {
+		for hi-lo < need {
+			if need > len(buf)-lo {
+				if need > len(buf) {
+					grown := make([]byte, need)
+					copy(grown, buf[lo:hi])
+					buf = grown
+				} else {
+					copy(buf, buf[lo:hi])
+				}
+				hi -= lo
+				lo = 0
+			}
+			n, err := f.Read(buf[hi:])
+			hi += n
+			if err == io.EOF {
+				return hi-lo >= need, nil
+			}
+			if err != nil {
+				return false, fmt.Errorf("store: %w", err)
+			}
+		}
+		return true, nil
+	}
+	if _, err := fill(segHeaderLen); err != nil {
 		return err
 	}
-	off := segHeaderLen
-	for off < len(data) {
-		fr, err := parseFrame(data[off:])
-		if err != nil {
-			return nil // torn tail of the active segment
+	if _, err := parseSegHeader(buf[lo:hi]); err != nil {
+		return err
+	}
+	lo += segHeaderLen
+	for {
+		ok, err := fill(frameOverhead)
+		if err != nil || !ok {
+			return err // clean end, or a torn frame header
 		}
-		e := Entry{Seq: fr.seq, Time: time.Unix(0, fr.unixNano), Payload: fr.payload}
-		if err := fn(e); err != nil {
+		n := binary.BigEndian.Uint32(buf[lo:])
+		if n > maxPayload {
+			return nil // torn length field
+		}
+		if ok, err := fill(frameOverhead + int(n)); err != nil || !ok {
+			return err // torn payload
+		}
+		fr, err := parseFrame(buf[lo:hi])
+		if err != nil {
+			return nil // bad CRC: torn tail of the active segment
+		}
+		if err := fn(Entry{Seq: fr.seq, Time: time.Unix(0, fr.unixNano), Payload: fr.payload}); err != nil {
 			if errors.Is(err, errStopScan) {
 				return nil
 			}
 			return err
 		}
-		off += fr.size
+		lo += fr.size
 	}
-	return nil
 }
 
 // Prune deletes whole segments whose every record has Seq < upto — the

@@ -397,3 +397,98 @@ func TestWALClosedAppendFails(t *testing.T) {
 		t.Fatal("append on closed WAL succeeded")
 	}
 }
+
+// TestWALReadStreamsAcrossScanBuffer reads frames that straddle the scan
+// buffer's chunk boundaries and frames larger than the whole buffer, in
+// full and in sub-ranges, from sealed and active segments alike.
+func TestWALReadStreamsAcrossScanBuffer(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{SegmentBytes: 8 << 20, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	sizes := []int{10, 300 << 10, 2*scanBufSize + 5, 7, scanBufSize - frameOverhead, 1, 700 << 10, scanBufSize + 1, 3}
+	for i := 0; i < 3; i++ {
+		sizes = append(sizes, sizes...)
+	}
+	payload := func(i int) []byte {
+		return bytes.Repeat([]byte{byte('a' + i%26)}, sizes[i])
+	}
+	for i := range sizes {
+		if _, err := w.Append(time.Unix(int64(i), 0), payload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w.Segments() < 2 {
+		t.Fatalf("want several segments, have %d", w.Segments())
+	}
+	for _, r := range [][2]uint64{{0, 0}, {3, 5}, {5, 40}, {17, 18}, {uint64(len(sizes)) - 2, 0}} {
+		got := collect(t, w, r[0], r[1])
+		to := r[1]
+		if to == 0 {
+			to = uint64(len(sizes))
+		}
+		if len(got) != int(to-r[0]) {
+			t.Fatalf("ReadSeq(%d, %d) returned %d entries", r[0], r[1], len(got))
+		}
+		for j, e := range got {
+			i := int(r[0]) + j
+			if e.Seq != uint64(i) || !bytes.Equal(e.Payload, payload(i)) {
+				t.Fatalf("ReadSeq(%d, %d): entry %d is seq %d with %d bytes, want seq %d with %d", r[0], r[1], j, e.Seq, len(e.Payload), i, sizes[i])
+			}
+		}
+	}
+}
+
+// TestWALConcurrentReadsBesideAppends runs several readers over a WAL
+// that is rotating under appends: each scan must see a contiguous run of
+// intact payloads, whichever pooled scan buffer it was handed.
+func TestWALConcurrentReadsBesideAppends(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{SegmentBytes: 64 << 10, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	payload := func(seq uint64) []byte {
+		return bytes.Repeat([]byte(fmt.Sprintf("p%d.", seq)), 1+int(seq%50))
+	}
+	const n = 3000
+	stop := make(chan struct{})
+	readers := make(chan struct{}, 3)
+	for r := 0; r < cap(readers); r++ {
+		go func(r int) {
+			defer func() { readers <- struct{}{} }()
+			for i := uint64(r); ; i += 97 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				from := i % n
+				next := from
+				if err := w.ReadSeq(from, from+200, func(e Entry) error {
+					if e.Seq != next || !bytes.Equal(e.Payload, payload(e.Seq)) {
+						return fmt.Errorf("read seq %d (want %d) with a wrong payload", e.Seq, next)
+					}
+					next++
+					return nil
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	for seq := uint64(0); seq < n; seq++ {
+		if _, err := w.Append(time.Time{}, payload(seq)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	for r := 0; r < cap(readers); r++ {
+		<-readers
+	}
+	if got := collect(t, w, 0, 0); len(got) != n {
+		t.Fatalf("read %d entries, want %d", len(got), n)
+	}
+}
