@@ -99,11 +99,7 @@ func run(args []string) int {
 			fmt.Println("chain BROKEN:", err)
 			return 1
 		}
-		if fromStore {
-			fmt.Printf("chain intact: %d records (store verified on recovery)\n", len(recs))
-		} else {
-			fmt.Printf("chain intact: %d records\n", len(recs))
-		}
+		fmt.Printf("chain intact: %d records\n", len(recs))
 		return 0
 	case "report":
 		return report(recs)

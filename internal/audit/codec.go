@@ -31,9 +31,9 @@ import (
 //	preimage = wire[1:23] ‖ wire[24:len-32]
 //
 // so a record whose fields are in their canonical forms can be verified
-// from its bytes alone (VerifyRecordBinary). The two layouts are kept in
-// step by a test over random records; changing either means changing
-// both.
+// from its bytes alone (VerifyRecordBinary). Both are built by the same
+// appenders (appendPreimageHead, appendPreimageBody), so the two layouts
+// cannot drift; a test over random records checks the identity.
 //
 // v2 extended v1 with the obligation facet labels of both contexts and a
 // flags byte whose low bit marks a chain-preserving tombstone (a record
@@ -72,14 +72,27 @@ func HashRecord(r *Record) [32]byte { return computeHash(r) }
 // extended slice.
 func AppendRecordBinary(dst []byte, r *Record) []byte {
 	dst = append(dst, recordWireV3)
-	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Time.Unix()))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Time.Nanosecond()))
+	dst = appendPreimageHead(dst, r)
 	var flags byte
 	if r.Redacted {
 		flags |= recordFlagRedacted
 	}
-	dst = append(dst, byte(r.Kind), byte(r.Layer), flags)
+	dst = append(dst, flags)
+	dst = appendPreimageBody(dst, r)
+	return append(dst, r.Hash[:]...)
+}
+
+// appendPreimageHead appends wire[1:23]: seq, time, kind and layer.
+func appendPreimageHead(dst []byte, r *Record) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, r.Seq)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Time.Unix()))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Time.Nanosecond()))
+	return append(dst, byte(r.Kind), byte(r.Layer))
+}
+
+// appendPreimageBody appends wire[24:len-32]: the fifteen length-prefixed
+// fields and PrevHash.
+func appendPreimageBody(dst []byte, r *Record) []byte {
 	for _, f := range [...]string{
 		r.Domain, string(r.Src), string(r.Dst),
 		r.SrcCtx.Secrecy.String(), r.SrcCtx.Integrity.String(),
@@ -91,9 +104,7 @@ func AppendRecordBinary(dst []byte, r *Record) []byte {
 		dst = binary.BigEndian.AppendUint32(dst, uint32(len(f)))
 		dst = append(dst, f...)
 	}
-	dst = append(dst, r.PrevHash[:]...)
-	dst = append(dst, r.Hash[:]...)
-	return dst
+	return append(dst, r.PrevHash[:]...)
 }
 
 // DecodeRecordBinary parses one binary record produced by

@@ -496,36 +496,46 @@ func (l *Log) Select(filter func(Record) bool) []Record {
 }
 
 // Verify walks the retained chain, checking every record's hash and
-// linkage. It returns the sequence number of the first bad record, or -1
-// with a nil error when the chain is intact. Tombstones (Redacted records)
-// are checked for linkage only: their payload is gone by design, but they
-// still carry the original hash, so the chain continues through them.
+// linkage (VerifyRecord). It returns the sequence number of the first bad
+// record, or -1 with a nil error when the chain is intact. The first
+// retained record's PrevHash is trusted: it is the checkpoint left by
+// pruning.
 func (l *Log) Verify() (int64, error) {
 	l.Flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	prev := [32]byte{}
+	var prev *[32]byte
 	for seq := l.firstSeq; seq < l.nextSeq; seq++ {
-		r := *l.at(seq)
-		if seq == l.firstSeq {
-			prev = r.PrevHash // trust the checkpoint after pruning
+		r := l.at(seq)
+		if err := VerifyRecord(r, prev); err != nil {
+			return int64(r.Seq), err
 		}
-		if r.PrevHash != prev {
-			return int64(r.Seq), fmt.Errorf("%w: record %d links to wrong predecessor", ErrChainBroken, r.Seq)
-		}
-		if r.Redacted {
-			// A tombstone must actually be one: payload fields zeroed. The
-			// flag exempts a record from the content-hash check, so any
-			// surviving payload under it is a forgery, not an erasure.
-			if !ValidTombstone(&r) {
-				return int64(r.Seq), fmt.Errorf("%w: record %d marked redacted but carries payload", ErrChainBroken, r.Seq)
-			}
-		} else if computeHash(&r) != r.Hash {
-			return int64(r.Seq), fmt.Errorf("%w: record %d content hash mismatch", ErrChainBroken, r.Seq)
-		}
-		prev = r.Hash
+		prev = &r.Hash
 	}
 	return -1, nil
+}
+
+// VerifyRecord is the chain rule every verifier applies to one record:
+// it must link to prev, its predecessor's Hash (nil for the first record
+// checked, whose PrevHash is trusted); a tombstone must really be one
+// (ValidTombstone), and is then checked by linkage only — its payload is
+// gone by design, but it still carries the original hash, so the chain
+// continues through it; any other record's recomputed hash must equal
+// its Hash.
+func VerifyRecord(r *Record, prev *[32]byte) error {
+	if prev != nil && r.PrevHash != *prev {
+		return fmt.Errorf("%w: record %d links to wrong predecessor", ErrChainBroken, r.Seq)
+	}
+	if r.Redacted {
+		// The flag exempts a record from the content-hash check, so any
+		// surviving payload under it is a forgery, not an erasure.
+		if !ValidTombstone(r) {
+			return fmt.Errorf("%w: record %d marked redacted but carries payload", ErrChainBroken, r.Seq)
+		}
+	} else if computeHash(r) != r.Hash {
+		return fmt.Errorf("%w: record %d content hash mismatch", ErrChainBroken, r.Seq)
+	}
+	return nil
 }
 
 // Redact replaces the retained record with the given sequence number by
@@ -601,26 +611,17 @@ func (l *Log) Prune(upto uint64) []Record {
 	return segment
 }
 
-// VerifySegment checks an offloaded segment against itself and, when the
-// follower's first retained record is supplied, against the retained chain.
-// Tombstones verify by linkage only, as in Log.Verify.
+// VerifySegment checks an offloaded segment against itself (VerifyRecord
+// on every record, trusting the first one's PrevHash) and, when the
+// follower's first retained record is supplied, against the retained
+// chain.
 func VerifySegment(segment []Record, next *Record) error {
-	for i := 1; i < len(segment); i++ {
-		if segment[i].PrevHash != segment[i-1].Hash {
-			return fmt.Errorf("%w: segment break at %d", ErrChainBroken, segment[i].Seq)
-		}
-	}
+	var prev *[32]byte
 	for i := range segment {
-		r := segment[i]
-		if r.Redacted {
-			if !ValidTombstone(&r) {
-				return fmt.Errorf("%w: segment record %d marked redacted but carries payload", ErrChainBroken, r.Seq)
-			}
-			continue
+		if err := VerifyRecord(&segment[i], prev); err != nil {
+			return err
 		}
-		if computeHash(&r) != r.Hash {
-			return fmt.Errorf("%w: segment record %d hash mismatch", ErrChainBroken, r.Seq)
-		}
+		prev = &segment[i].Hash
 	}
 	if next != nil && len(segment) > 0 {
 		if next.PrevHash != segment[len(segment)-1].Hash {

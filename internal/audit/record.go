@@ -8,7 +8,6 @@ package audit
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash"
@@ -186,9 +185,9 @@ var hasherPool = sync.Pool{
 // re-rendering; the whole computation is allocation-free in steady state.
 //
 // The preimage is the binary wire form (codec.go) minus its version byte,
-// flags byte and stored hash — wire[1:23] ‖ wire[24:len-32] — which is
-// what lets VerifyRecordBinary prove a stored record from its bytes. A
-// test pins the two layouts together; change them together.
+// flags byte and stored hash — wire[1:23] ‖ wire[24:len-32] — built by
+// the same appenders as AppendRecordBinary, which is what lets
+// VerifyRecordBinary prove a stored record from its bytes.
 //
 // The hash preimage layout is an internal detail of this package version:
 // chains and exported segments verify against the code that produced them,
@@ -197,23 +196,7 @@ var hasherPool = sync.Pool{
 // upgrades should pin the verifier version alongside the segment.
 func computeHash(r *Record) [32]byte {
 	s := hasherPool.Get().(*hashScratch)
-	b := s.buf[:0]
-	b = binary.BigEndian.AppendUint64(b, r.Seq)
-	b = binary.BigEndian.AppendUint64(b, uint64(r.Time.Unix()))
-	b = binary.BigEndian.AppendUint32(b, uint32(r.Time.Nanosecond()))
-	b = append(b, byte(r.Kind), byte(r.Layer))
-	for _, f := range [...]string{
-		r.Domain, string(r.Src), string(r.Dst),
-		r.SrcCtx.Secrecy.String(), r.SrcCtx.Integrity.String(),
-		r.SrcCtx.Jurisdiction.String(), r.SrcCtx.Purpose.String(),
-		r.DstCtx.Secrecy.String(), r.DstCtx.Integrity.String(),
-		r.DstCtx.Jurisdiction.String(), r.DstCtx.Purpose.String(),
-		r.DataID, string(r.Agent), r.Note, r.TraceID,
-	} {
-		b = binary.BigEndian.AppendUint32(b, uint32(len(f)))
-		b = append(b, f...)
-	}
-	b = append(b, r.PrevHash[:]...)
+	b := appendPreimageBody(appendPreimageHead(s.buf[:0], r), r)
 	s.h.Reset()
 	s.h.Write(b)
 	out := [32]byte(s.h.Sum(s.sum[:0]))

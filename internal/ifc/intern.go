@@ -104,10 +104,11 @@ func internLabel(tags []Tag, ids []uint32) *labelRec {
 }
 
 // parsesBack reports whether ParseLabel rebuilds the tag set from its
-// canonical string: every tag valid and already space-trimmed.
+// canonical string: every tag valid (a valid tag holds no space for
+// ParseLabel to trim).
 func parsesBack(tags []Tag) bool {
 	for _, t := range tags {
-		if !t.Valid() || strings.TrimSpace(string(t)) != string(t) {
+		if !t.Valid() {
 			return false
 		}
 	}

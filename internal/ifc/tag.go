@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // A Tag names a single security concern, such as "medical", "consent", or a
@@ -23,8 +24,8 @@ var ErrInvalidTag = errors.New("ifc: invalid tag")
 const maxTagLen = 256
 
 // Valid reports whether the tag is well formed: non-empty, at most 256
-// bytes, and free of whitespace, control characters, and the label
-// delimiters '{', '}' and ','.
+// bytes, and free of whitespace (any rune unicode.IsSpace reports), ASCII
+// control characters, and the label delimiters '{', '}' and ','.
 func (t Tag) Valid() bool {
 	return t.Validate() == nil
 }
@@ -38,10 +39,9 @@ func (t Tag) Validate() error {
 	if len(t) > maxTagLen {
 		return fmt.Errorf("%w: %q exceeds %d bytes", ErrInvalidTag, truncate(string(t), 32), maxTagLen)
 	}
-	for i := 0; i < len(t); i++ {
-		c := t[i]
+	for i, c := range string(t) {
 		switch {
-		case c <= ' ' || c == 0x7f:
+		case c <= ' ' || c == 0x7f || unicode.IsSpace(c):
 			return fmt.Errorf("%w: %q contains whitespace or control byte at offset %d", ErrInvalidTag, truncate(string(t), 32), i)
 		case c == '{' || c == '}' || c == ',':
 			return fmt.Errorf("%w: %q contains reserved delimiter %q", ErrInvalidTag, truncate(string(t), 32), string(c))

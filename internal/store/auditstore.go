@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"lciot/internal/audit"
 	"lciot/internal/telemetry"
@@ -104,30 +103,29 @@ func OpenAudit(dir string, opts Options) (*AuditStore, error) {
 // (audit.VerifyRecordBinary). What that cannot prove takes verifyDecoded,
 // which alone produces refusals, bad seqs and error text.
 func (s *AuditStore) verifyRange(from, to uint64, head *[32]byte) (uint64, error) {
-	var prev [32]byte
-	first := true
+	if head == nil {
+		head = new([32]byte)
+	}
+	var prev *[32]byte // the last verified hash; nil before the first record
 	bad := uint64(0)
 	err := s.w.ReadSeq(from, to, func(e Entry) error {
 		seq, p, h, ok := audit.VerifyRecordBinary(e.Payload)
-		if !ok || seq != e.Seq || (!first && p != prev) {
+		if !ok || seq != e.Seq || (prev != nil && p != *prev) {
 			var err error
-			if h, err = verifyDecoded(e, first, prev); err != nil {
+			if h, err = verifyDecoded(e, prev); err != nil {
 				bad = e.Seq
 				return err
 			}
 		}
-		prev, first = h, false
-		if head != nil {
-			*head = h
-		}
+		*head, prev = h, head
 		return nil
 	})
 	return bad, err
 }
 
-// verifyDecoded checks one record in full — decode, seq, linkage to prev
-// (unless first), tombstone shape or content hash — and returns its hash.
-func verifyDecoded(e Entry, first bool, prev [32]byte) ([32]byte, error) {
+// verifyDecoded checks one record in full — decode, seq, then the chain
+// rule (audit.VerifyRecord) — and returns its hash.
+func verifyDecoded(e Entry, prev *[32]byte) ([32]byte, error) {
 	r, err := audit.DecodeRecordBinary(e.Payload)
 	if err != nil {
 		return r.Hash, err
@@ -135,21 +133,7 @@ func verifyDecoded(e Entry, first bool, prev [32]byte) ([32]byte, error) {
 	if r.Seq != e.Seq {
 		return r.Hash, fmt.Errorf("%w: frame seq %d carries record seq %d", audit.ErrChainBroken, e.Seq, r.Seq)
 	}
-	if !first && r.PrevHash != prev {
-		return r.Hash, fmt.Errorf("%w: record %d links to wrong predecessor", audit.ErrChainBroken, r.Seq)
-	}
-	// Tombstones carry the original hash but no payload: linkage (above
-	// and via the next record's PrevHash) is all that remains checkable
-	// — provided they really are payload-free, else the flag would be a
-	// forgery vector.
-	if r.Redacted {
-		if !audit.ValidTombstone(&r) {
-			return r.Hash, fmt.Errorf("%w: record %d marked redacted but carries payload", audit.ErrChainBroken, r.Seq)
-		}
-	} else if audit.HashRecord(&r) != r.Hash {
-		return r.Hash, fmt.Errorf("%w: record %d content hash mismatch", audit.ErrChainBroken, r.Seq)
-	}
-	return r.Hash, nil
+	return r.Hash, audit.VerifyRecord(&r, prev)
 }
 
 // Verify re-checks the whole persisted chain, returning the sequence
@@ -395,18 +379,6 @@ func (s *AuditStore) Records(from, to uint64) ([]audit.Record, error) {
 // Read streams records [from, to) in sequence order.
 func (s *AuditStore) Read(from, to uint64, fn func(audit.Record) error) error {
 	return s.w.ReadSeq(from, to, func(e Entry) error {
-		r, err := audit.DecodeRecordBinary(e.Payload)
-		if err != nil {
-			return err
-		}
-		return fn(r)
-	})
-}
-
-// ReadTime streams records with from <= Time < to in sequence order,
-// using the per-segment time stamps to skip irrelevant segments.
-func (s *AuditStore) ReadTime(from, to time.Time, fn func(audit.Record) error) error {
-	return s.w.ReadTime(from, to, func(e Entry) error {
 		r, err := audit.DecodeRecordBinary(e.Payload)
 		if err != nil {
 			return err

@@ -24,11 +24,20 @@
 //   - Journal helpers used by the gateway to persist store-and-forward
 //     buffers across restarts.
 //
+// Recovery, reads and redaction all stream: one frame walker
+// (walkSegment) is the only code that reads a segment file, through one
+// pooled 1 MiB buffer, CRC-checking every frame. The callers differ only
+// in policy: recovery enforces the frame seq and truncates a torn tail of
+// the last segment (refusing one anywhere else), ReadSeq and ReadTime stop
+// silently at a torn frame and at the end of their range, and redaction
+// refuses any bad frame and writes the rewritten segment through one
+// buffered handle. No caller holds a whole segment in memory.
+//
 // Recovery re-hashes and re-links every persisted record, working on the
-// bytes it reads: segments stream through one pooled 1 MiB buffer (every
-// frame CRC-checked; ReadSeq stops at the end of its range), and each
-// record is proven from its wire form by audit.VerifyRecordBinary, with
-// labels checked by intern-table lookup and no audit.Record built. What
-// that cannot prove is decoded and checked in full, and only that path
-// decides a refusal, so verdicts are those a full decode would give.
+// bytes it reads: each record is proven from its wire form by
+// audit.VerifyRecordBinary, with labels checked by intern-table lookup
+// and no audit.Record built. What that cannot prove is decoded and
+// checked in full against the one chain rule (audit.VerifyRecord), and
+// only that path decides a refusal, so verdicts are those a full decode
+// would give.
 package store

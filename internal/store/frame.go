@@ -81,7 +81,8 @@ type frameInfo struct {
 	seq      uint64
 	unixNano int64
 	payload  []byte // aliases the scan buffer
-	size     int    // total frame size including framing
+	raw      []byte // the whole frame; aliases the scan buffer
+	size     int    // len(raw)
 }
 
 // errTorn reports a frame that is structurally incomplete or fails its
@@ -109,6 +110,7 @@ func parseFrame(b []byte) (frameInfo, error) {
 		seq:      binary.BigEndian.Uint64(b[8:]),
 		unixNano: int64(binary.BigEndian.Uint64(b[16:])),
 		payload:  b[frameOverhead:total],
+		raw:      b[:total],
 		size:     total,
 	}, nil
 }

@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -240,5 +244,185 @@ func TestAuditStoreRedactTombstone(t *testing.T) {
 	}
 	if bad, err := s2.Verify(); err != nil {
 		t.Fatalf("chain broken at %d after reopen+append: %v", bad, err)
+	}
+}
+
+// allocated returns the bytes the process allocated while fn ran.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestWALLargeSegmentStreams opens a WAL over a segment of more than
+// 24 MiB and redacts two of its records: recovery and redaction both
+// stream the segment through the walk buffer, so neither allocates
+// anything near the segment's size.
+func TestWALLargeSegmentStreams(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte{0x5A}, 4<<10)
+	const n = 6200
+	for i := 0; i < n; i++ {
+		if _, err := w.Append(time.Unix(int64(i), 0), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(filepath.Join(dir, segName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() < 24<<20 {
+		t.Fatalf("segment is %d bytes, want at least 24 MiB", fi.Size())
+	}
+	const budget = 4 << 20
+
+	if got := allocated(func() {
+		if w, err = Open(dir, Options{NoSync: true}); err != nil {
+			t.Fatal(err)
+		}
+	}); got >= budget {
+		t.Errorf("Open over a %d-byte segment allocated %d bytes, want < %d", fi.Size(), got, budget)
+	}
+	defer w.Close()
+	if w.NextSeq() != n {
+		t.Fatalf("NextSeq %d after reopen, want %d", w.NextSeq(), n)
+	}
+
+	targets := []uint64{17, n - 3}
+	if got := allocated(func() {
+		if err := w.RedactMany(targets, func(uint64, []byte) ([]byte, error) {
+			return []byte("tombstone"), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}); got >= budget {
+		t.Errorf("RedactMany over a %d-byte segment allocated %d bytes, want < %d", fi.Size(), got, budget)
+	}
+	for _, seq := range targets {
+		if got := collect(t, w, seq, seq+1); len(got) != 1 || string(got[0].Payload) != "tombstone" {
+			t.Fatalf("seq %d after redaction: %d entries", seq, len(got))
+		}
+	}
+}
+
+// TestWALTornLengthReadsNoFurther opens a WAL whose last frame claims a
+// payload far longer than the file holds: recovery truncates it as torn
+// without allocating a buffer for the claimed length.
+func TestWALTornLengthReadsNoFurther(t *testing.T) {
+	dir := t.TempDir()
+	torn := appendFrame(nil, 1, 2, []byte("torn"))
+	binary.BigEndian.PutUint32(torn, maxPayload)
+	seg := appendFrame(appendSegHeader(nil, 0), 0, 1, []byte("intact"))
+	if err := os.WriteFile(filepath.Join(dir, segName(0)), append(seg, torn...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var w *WAL
+	var err error
+	if got := allocated(func() { w, err = Open(dir, Options{NoSync: true}) }); got >= 4<<20 {
+		t.Errorf("Open over a torn %d-byte length allocated %d bytes", maxPayload, got)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if w.NextSeq() != 1 {
+		t.Fatalf("NextSeq %d after truncating the torn frame, want 1", w.NextSeq())
+	}
+}
+
+// TestWALRedactRefusesCorruptSegment flips one byte in the body of a
+// sealed segment, then of the active one: RedactMany must return
+// ErrCorrupt, leave the segment byte-identical with no temporary file
+// behind, and leave the WAL appending and reading as before.
+func TestWALRedactRefusesCorruptSegment(t *testing.T) {
+	for _, active := range []bool{false, true} {
+		t.Run(fmt.Sprintf("active=%v", active), func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(dir, Options{SegmentBytes: 4 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			appendN(t, w, 0, 400)
+			seg := w.snapshotSegs()[0]
+			if active {
+				seg = w.snapshotSegs()[w.Segments()-1]
+			}
+			if seg.count < 3 {
+				t.Fatalf("segment holds %d records, want at least 3", seg.count)
+			}
+			// Damage the middle of the segment; the redaction target
+			// precedes it, so the rewrite has begun when the walk hits it.
+			f, err := os.OpenFile(seg.path, os.O_RDWR, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := seg.size / 2
+			b := []byte{0}
+			if _, err := f.ReadAt(b, at); err != nil {
+				t.Fatal(err)
+			}
+			b[0] ^= 0x40
+			if _, err := f.WriteAt(b, at); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			damaged, err := os.ReadFile(seg.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			err = w.Redact(seg.firstSeq, func([]byte) ([]byte, error) { return []byte("tombstone"), nil })
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("redact over a damaged segment = %v, want ErrCorrupt", err)
+			}
+			after, err := os.ReadFile(seg.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, damaged) {
+				t.Fatal("a refused redaction changed the segment")
+			}
+			if _, err := os.Stat(seg.path + ".redact"); !os.IsNotExist(err) {
+				t.Fatalf("temporary file left behind: %v", err)
+			}
+
+			next := w.NextSeq()
+			seq, err := w.Append(time.Unix(5000, 0), []byte("after"))
+			if err != nil || seq != next {
+				t.Fatalf("append after refusal = (%d, %v), want seq %d", seq, err, next)
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if got := collect(t, w, seg.firstSeq, seg.firstSeq+1); len(got) != 1 ||
+				string(got[0].Payload) != fmt.Sprintf("payload-%04d", seg.firstSeq) {
+				t.Fatalf("target after refusal = %+v, want its original payload", got)
+			}
+			if !active {
+				if got := collect(t, w, seq, 0); len(got) != 1 || string(got[0].Payload) != "after" {
+					t.Fatalf("appended record reads back as %+v", got)
+				}
+				return
+			}
+			// The active segment's handle was kept: the new frame lands
+			// right after the damaged bytes, which stay as they were.
+			grown, err := os.ReadFile(seg.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := appendFrame(damaged, seq, time.Unix(5000, 0).UnixNano(), []byte("after")); !bytes.Equal(grown, want) {
+				t.Fatalf("active segment after append is %d bytes, want the damaged %d plus one frame", len(grown), len(damaged))
+			}
+		})
 	}
 }

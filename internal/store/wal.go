@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -204,76 +205,59 @@ func (w *WAL) recover() error {
 // been pruned); last marks the newest, the only one allowed a torn tail.
 // It returns the segment metadata and the sequence expected next.
 func (w *WAL) recoverSegment(path string, first bool, expected uint64, last bool) (*segment, uint64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("store: %w", err)
-	}
-	firstSeq, err := parseSegHeader(data)
-	if err != nil {
-		if last {
-			// A crash between file creation and the first committed header
-			// write leaves a short or garbled header; rebuild the segment.
-			if werr := w.rewriteHeader(path, expected); werr != nil {
-				return nil, 0, werr
-			}
-			return &segment{firstSeq: expected, path: path, size: segHeaderLen}, expected, nil
+	var seg *segment // set once the header parses
+	end, torn, err := walkSegment(path, func(firstSeq uint64) error {
+		seg = &segment{firstSeq: firstSeq, path: path}
+		if !first && firstSeq != expected {
+			return fmt.Errorf("%w: %s starts at seq %d, want %d", ErrCorrupt, path, firstSeq, expected)
 		}
-		return nil, 0, fmt.Errorf("%s: %w", path, err)
-	}
-	if !first && firstSeq != expected {
-		return nil, 0, fmt.Errorf("%w: %s starts at seq %d, want %d", ErrCorrupt, path, firstSeq, expected)
-	}
-	seg := &segment{firstSeq: firstSeq, path: path, size: segHeaderLen}
-	seq := firstSeq
-	off := segHeaderLen
-	for off < len(data) {
-		fr, err := parseFrame(data[off:])
-		if err != nil {
-			if !last {
-				return nil, 0, fmt.Errorf("%w: %s: bad frame at offset %d", ErrCorrupt, path, off)
-			}
-			// Torn tail: drop everything from the first bad frame on.
-			if terr := w.truncateTo(path, int64(off)); terr != nil {
-				return nil, 0, terr
-			}
-			break
-		}
-		if fr.seq != seq {
-			return nil, 0, fmt.Errorf("%w: %s: frame seq %d, want %d", ErrCorrupt, path, fr.seq, seq)
+		return nil
+	}, func(fr frameInfo) error {
+		if fr.seq != seg.endSeq() {
+			return fmt.Errorf("%w: %s: frame seq %d, want %d", ErrCorrupt, path, fr.seq, seg.endSeq())
 		}
 		if seg.count == 0 {
 			seg.firstNano = fr.unixNano
 		}
 		seg.lastNano = fr.unixNano
 		seg.count++
-		seq++
-		off += fr.size
-		seg.size = int64(off)
+		return nil
+	})
+	if seg == nil && last && errors.Is(err, ErrCorrupt) {
+		// A crash between file creation and the first committed header
+		// write leaves a short or garbled header; rebuild the segment.
+		if err := w.truncateTo(path, 0, appendSegHeader(nil, expected)); err != nil {
+			return nil, 0, err
+		}
+		return &segment{firstSeq: expected, path: path, size: segHeaderLen}, expected, nil
 	}
-	return seg, seq, nil
-}
-
-// rewriteHeader rebuilds path as an empty segment starting at firstSeq.
-func (w *WAL) rewriteHeader(path string, firstSeq uint64) error {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_TRUNC, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return nil, 0, err
 	}
-	defer f.Close()
-	if _, err := f.Write(appendSegHeader(nil, firstSeq)); err != nil {
-		return fmt.Errorf("store: %w", err)
+	seg.size = end
+	if torn {
+		if !last {
+			return nil, 0, fmt.Errorf("%w: %s: bad frame at offset %d", ErrCorrupt, path, end)
+		}
+		// Torn tail: drop everything from the first bad frame on.
+		if err := w.truncateTo(path, end, nil); err != nil {
+			return nil, 0, err
+		}
 	}
-	return w.syncFile(f)
+	return seg, seg.endSeq(), nil
 }
 
-// truncateTo cuts path at off and fsyncs the repair.
-func (w *WAL) truncateTo(path string, off int64) error {
+// truncateTo cuts path at off, writes tail there and fsyncs the repair.
+func (w *WAL) truncateTo(path string, off int64, tail []byte) error {
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
 	if err := f.Truncate(off); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if _, err := f.WriteAt(tail, off); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return w.syncFile(f)
@@ -619,13 +603,6 @@ func (w *WAL) Pin(seq uint64) (release func()) {
 	}
 }
 
-// Pinned returns the number of distinct pinned sequence numbers.
-func (w *WAL) Pinned() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.pins)
-}
-
 // FirstSeq returns the sequence number of the oldest retained record.
 func (w *WAL) FirstSeq() uint64 {
 	w.mu.Lock()
@@ -676,30 +653,17 @@ func (w *WAL) snapshotSegs() []segment {
 // past to; it never reads the rest of that segment. Entry.Payload is only
 // valid during fn.
 func (w *WAL) ReadSeq(from, to uint64, fn func(Entry) error) error {
-	if err := w.Sync(); err != nil {
-		return err
-	}
-	limit := w.DurableSeq()
-	if to == 0 || to > limit {
-		to = limit
-	}
-	for _, seg := range w.snapshotSegs() {
-		if seg.endSeq() <= from || seg.firstSeq >= to {
-			continue
+	return w.scan(func(seg segment) bool {
+		return seg.endSeq() > from && (to == 0 || seg.firstSeq < to)
+	}, func(e Entry) error {
+		if to != 0 && e.Seq >= to {
+			return errStopScan
 		}
-		if err := scanSegment(seg.path, func(e Entry) error {
-			if e.Seq >= to {
-				return errStopScan
-			}
-			if e.Seq < from {
-				return nil
-			}
-			return fn(e)
-		}); err != nil {
-			return err
+		if e.Seq < from {
+			return nil
 		}
-	}
-	return nil
+		return fn(e)
+	})
 }
 
 // ReadTime streams every committed record with from <= Time < to through
@@ -707,23 +671,38 @@ func (w *WAL) ReadSeq(from, to uint64, fn func(Entry) error) error {
 // skip segments wholesale; within a candidate segment each record's own
 // timestamp decides.
 func (w *WAL) ReadTime(from, to time.Time, fn func(Entry) error) error {
+	lo, hi := from.UnixNano(), to.UnixNano()
+	return w.scan(func(seg segment) bool {
+		return seg.count > 0 && seg.lastNano >= lo && seg.firstNano < hi
+	}, func(e Entry) error {
+		if n := e.Time.UnixNano(); n < lo || n >= hi {
+			return nil
+		}
+		return fn(e)
+	})
+}
+
+// scan syncs, then streams every committed record of the segments keep
+// accepts through fn in sequence order. A torn frame ends a segment's
+// scan silently: it is either the in-flight tail of the active segment or
+// a tail the next Open will truncate.
+func (w *WAL) scan(keep func(segment) bool, fn func(Entry) error) error {
 	if err := w.Sync(); err != nil {
 		return err
 	}
 	limit := w.DurableSeq()
-	lo, hi := from.UnixNano(), to.UnixNano()
 	for _, seg := range w.snapshotSegs() {
-		if seg.count == 0 || seg.lastNano < lo || seg.firstNano >= hi {
+		if seg.firstSeq >= limit {
+			break
+		}
+		if !keep(seg) {
 			continue
 		}
-		if err := scanSegment(seg.path, func(e Entry) error {
-			if e.Seq >= limit {
+		if _, _, err := walkSegment(seg.path, nil, func(fr frameInfo) error {
+			if fr.seq >= limit {
 				return errStopScan
 			}
-			if n := e.Time.UnixNano(); n < lo || n >= hi {
-				return nil
-			}
-			return fn(e)
+			return fn(Entry{Seq: fr.seq, Time: time.Unix(0, fr.unixNano), Payload: fr.payload})
 		}); err != nil {
 			return err
 		}
@@ -734,25 +713,33 @@ func (w *WAL) ReadTime(from, to time.Time, fn func(Entry) error) error {
 // errStopScan terminates a scan early without surfacing an error.
 var errStopScan = errors.New("store: stop scan")
 
-// scanBufSize is the read chunk of a segment scan. Frames are parsed in
-// place in a pooled buffer of this size, so a scan costs one buffer
-// however large the segment is, and a scan that stops early reads little
+// scanBufSize is the read chunk of a segment walk. Frames are parsed in
+// place in a pooled buffer of this size, so a walk costs one buffer
+// however large the segment is, and a walk that stops early reads little
 // more of the file than it used.
 const scanBufSize = 1 << 20
 
 var scanBufs = sync.Pool{New: func() any { b := make([]byte, scanBufSize); return &b }}
 
-// scanSegment streams the frames of one segment file through fn. Every
-// frame is CRC-checked before fn sees it; Entry.Payload aliases the scan
-// buffer and is only valid during fn. A torn frame ends the scan
-// silently: it is either the in-flight tail of the active segment or a
-// tail the next Open will truncate.
-func scanSegment(path string, fn func(Entry) error) error {
+// walkSegment is the only code that reads segment files. It streams the
+// file at path through a pooled scan buffer, hands the header's firstSeq
+// to head (when not nil), then every CRC-checked frame to fn in file
+// order; a frame's payload and raw bytes alias the buffer and are only
+// valid during fn. It returns the offset just past the last frame
+// consumed, and whether the walk stopped at a torn or bad frame rather
+// than at the end of the file: what that means is the caller's policy. A
+// short or garbled header is ErrCorrupt, returned before head runs; fn
+// returning errStopScan ends the walk early with a nil error.
+func walkSegment(path string, head func(firstSeq uint64) error, fn func(frameInfo) error) (end int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return 0, false, fmt.Errorf("store: %w", err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, false, fmt.Errorf("store: %w", err)
+	}
 	bp := scanBufs.Get().(*[]byte)
 	buf := *bp
 	defer func() {
@@ -788,35 +775,44 @@ func scanSegment(path string, fn func(Entry) error) error {
 		return true, nil
 	}
 	if _, err := fill(segHeaderLen); err != nil {
-		return err
+		return 0, false, err
 	}
-	if _, err := parseSegHeader(buf[lo:hi]); err != nil {
-		return err
+	firstSeq, err := parseSegHeader(buf[:hi])
+	if err != nil {
+		return 0, false, fmt.Errorf("%s: %w", path, err)
 	}
-	lo += segHeaderLen
+	if head != nil {
+		if err := head(firstSeq); err != nil {
+			return 0, false, err
+		}
+	}
+	lo, end = segHeaderLen, segHeaderLen
 	for {
 		ok, err := fill(frameOverhead)
 		if err != nil || !ok {
-			return err // clean end, or a torn frame header
+			return end, hi > lo, err // clean end, or a torn frame header
 		}
+		// A length no frame can have, or one that runs past the end of the
+		// file, is torn without reading (or allocating) any further.
 		n := binary.BigEndian.Uint32(buf[lo:])
-		if n > maxPayload {
-			return nil // torn length field
+		if n > maxPayload || end+frameOverhead+int64(n) > fi.Size() {
+			return end, true, nil
 		}
-		if ok, err := fill(frameOverhead + int(n)); err != nil || !ok {
-			return err // torn payload
+		if ok, err = fill(frameOverhead + int(n)); err != nil || !ok {
+			return end, err == nil, err // the file shrank under us
 		}
 		fr, err := parseFrame(buf[lo:hi])
 		if err != nil {
-			return nil // bad CRC: torn tail of the active segment
+			return end, true, nil // bad CRC
 		}
-		if err := fn(Entry{Seq: fr.seq, Time: time.Unix(0, fr.unixNano), Payload: fr.payload}); err != nil {
+		if err := fn(fr); err != nil {
 			if errors.Is(err, errStopScan) {
-				return nil
+				err = nil
 			}
-			return err
+			return end, false, err
 		}
 		lo += fr.size
+		end += int64(fr.size)
 	}
 }
 
@@ -873,7 +869,8 @@ func (w *WAL) Redact(seq uint64, replace func(old []byte) ([]byte, error)) error
 // torn one, and a 10k-record erasure costs one rewrite per segment, not
 // per record. Sequence numbers, timestamps and untargeted frames are
 // preserved byte for byte. replace returning the payload unchanged makes
-// that record a no-op.
+// that record a no-op. The old payload aliases the segment walk's read
+// buffer and, like Entry.Payload, is only valid during the call.
 func (w *WAL) RedactMany(seqs []uint64, replace func(seq uint64, old []byte) ([]byte, error)) error {
 	if len(seqs) == 0 {
 		return nil
@@ -927,52 +924,10 @@ func (w *WAL) RedactMany(seqs []uint64, replace func(seq uint64, old []byte) ([]
 func (w *WAL) redactSegmentLocked(segIdx int, want map[uint64]bool,
 	replace func(seq uint64, old []byte) ([]byte, error)) (int, error) {
 	seg := w.segs[segIdx]
-	data, err := os.ReadFile(seg.path)
-	if err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	if _, err := parseSegHeader(data); err != nil {
-		return 0, err
-	}
-	out := make([]byte, 0, len(data))
-	out = append(out, data[:segHeaderLen]...)
-	off := segHeaderLen
-	matched := 0
-	for off < len(data) {
-		fr, err := parseFrame(data[off:])
-		if err != nil {
-			return 0, fmt.Errorf("%w: %s: bad frame at offset %d", ErrCorrupt, seg.path, off)
-		}
-		if want[fr.seq] {
-			next, err := replace(fr.seq, fr.payload)
-			if err != nil {
-				return 0, err
-			}
-			out = appendFrame(out, fr.seq, fr.unixNano, next)
-			matched++
-		} else {
-			out = append(out, data[off:off+fr.size]...)
-		}
-		off += fr.size
-	}
-	if matched == 0 {
-		return 0, nil
-	}
-
 	tmp := seg.path + ".redact"
-	if err := os.WriteFile(tmp, out, 0o644); err != nil {
-		return 0, fmt.Errorf("store: %w", err)
-	}
-	if !w.opts.NoSync {
-		f, err := os.Open(tmp)
-		if err != nil {
-			return 0, fmt.Errorf("store: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return 0, fmt.Errorf("store: %w", err)
-		}
-		f.Close()
+	matched, written, err := w.writeRedacted(seg.path, tmp, want, replace)
+	if err != nil || matched == 0 {
+		return 0, err
 	}
 	activeSeg := segIdx == len(w.segs)-1
 	// reattach reopens the (possibly rewritten) segment as the active file
@@ -1008,7 +963,7 @@ func (w *WAL) redactSegmentLocked(segIdx int, want map[uint64]bool,
 		}
 		return 0, fmt.Errorf("store: %w", err)
 	}
-	seg.size = int64(len(out))
+	seg.size = written
 	if err := w.syncDir(); err != nil {
 		if rerr := reattach(seg.size); rerr != nil {
 			return 0, fmt.Errorf("store: dir sync: %v; reattach: %w", err, rerr)
@@ -1019,6 +974,66 @@ func (w *WAL) redactSegmentLocked(segIdx int, want map[uint64]bool,
 		return 0, err
 	}
 	return matched, nil
+}
+
+// writeRedacted streams the segment at path into tmp through one buffered
+// handle, replacing the payload of every frame whose seq is in want, and
+// fsyncs that handle. Any bad frame is ErrCorrupt: a redaction never
+// drops what it cannot read. It returns the number of frames replaced and
+// tmp's size; on an error, or with nothing replaced, tmp is removed.
+func (w *WAL) writeRedacted(path, tmp string, want map[uint64]bool,
+	replace func(seq uint64, old []byte) ([]byte, error)) (matched int, size int64, err error) {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return 0, 0, fmt.Errorf("store: %w", err)
+	}
+	defer func() {
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("store: %w", cerr)
+		}
+		if err != nil || matched == 0 {
+			os.Remove(tmp)
+			matched = 0
+		}
+	}()
+	bw := bufio.NewWriterSize(f, 256<<10)
+	write := func(b []byte) error {
+		size += int64(len(b))
+		if _, err := bw.Write(b); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		return nil
+	}
+	var frame []byte
+	end, torn, err := walkSegment(path, func(firstSeq uint64) error {
+		return write(appendSegHeader(nil, firstSeq))
+	}, func(fr frameInfo) error {
+		if !want[fr.seq] {
+			return write(fr.raw)
+		}
+		next, err := replace(fr.seq, fr.payload)
+		if err != nil {
+			return err
+		}
+		matched++
+		frame = appendFrame(frame[:0], fr.seq, fr.unixNano, next)
+		return write(frame)
+	})
+	switch {
+	case err != nil:
+		return 0, 0, err
+	case torn:
+		return 0, 0, fmt.Errorf("%w: %s: bad frame at offset %d", ErrCorrupt, path, end)
+	case matched == 0:
+		return 0, 0, nil
+	}
+	if err = bw.Flush(); err == nil && !w.opts.NoSync {
+		err = f.Sync()
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("store: %w", err)
+	}
+	return matched, size, nil
 }
 
 // Close syncs and closes the WAL. Further appends fail with ErrClosed.
@@ -1040,9 +1055,6 @@ func (w *WAL) Close() error {
 	}
 	return err
 }
-
-// Dir returns the directory the WAL lives in.
-func (w *WAL) Dir() string { return w.dir }
 
 // IsWALDir reports whether dir looks like a WAL directory (contains at
 // least one segment file). Tools use it to distinguish a store directory

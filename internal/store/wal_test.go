@@ -2,9 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -240,7 +243,9 @@ func TestWALTornTailTruncation(t *testing.T) {
 // opens the WAL over it. Recovery must never panic: it either refuses the
 // segment with an error, or truncates it to a prefix of the input whose
 // records ReadSeq returns intact — dense from seq 0, as many as NextSeq
-// reports, and re-encoding byte for byte to the segment left on disk. The
+// reports, and re-encoding byte for byte to the segment left on disk.
+// Redacting one recovered record, picked by the input's length, must then
+// change that frame alone, read back, and reopen to the same NextSeq. The
 // seeds are the torn-tail test's 20-record segment body, cut mid-frame and
 // at a frame boundary, with one bit flipped, and with a frame out of seq.
 func FuzzWALRecover(f *testing.F) {
@@ -278,11 +283,11 @@ func FuzzWALRecover(f *testing.F) {
 		if err := os.WriteFile(path, input, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := Open(dir, Options{})
+		w, err := Open(dir, Options{NoSync: true})
 		if err != nil {
 			return // refused, never repaired silently
 		}
-		defer w.Close()
+		defer func() { w.Close() }()
 		disk, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +313,56 @@ func FuzzWALRecover(f *testing.F) {
 		if !bytes.Equal(rebuilt, disk) {
 			t.Fatal("recovered segment does not re-encode from what ReadSeq returns")
 		}
+		if next == 0 {
+			return
+		}
+
+		target := uint64(len(tail)) % next
+		tombstone := []byte(fmt.Sprintf("redacted-%d", len(tail)))
+		if err := w.Redact(target, func([]byte) ([]byte, error) { return tombstone, nil }); err != nil {
+			t.Fatalf("redact seq %d: %v", target, err)
+		}
+		if got := collect(t, w, target, target+1); len(got) != 1 || !bytes.Equal(got[0].Payload, tombstone) {
+			t.Fatalf("seq %d after redaction reads back as %+v", target, got)
+		}
+		redacted, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, after := frames(t, disk), frames(t, redacted)
+		if len(after) != len(before) {
+			t.Fatalf("redaction left %d frames, want %d", len(after), len(before))
+		}
+		for i := range before {
+			if uint64(i) != target && !bytes.Equal(before[i], after[i]) {
+				t.Fatalf("redacting seq %d changed frame %d", target, i)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if w, err = Open(dir, Options{NoSync: true}); err != nil {
+			t.Fatalf("reopen after redaction: %v", err)
+		}
+		if w.NextSeq() != next {
+			t.Fatalf("reopen after redaction: NextSeq %d, want %d", w.NextSeq(), next)
+		}
 	})
+}
+
+// frames splits a segment file's bytes into its raw frames.
+func frames(t *testing.T, seg []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for off := segHeaderLen; off < len(seg); {
+		fr, err := parseFrame(seg[off:])
+		if err != nil {
+			t.Fatalf("bad frame at offset %d: %v", off, err)
+		}
+		out = append(out, fr.raw)
+		off += fr.size
+	}
+	return out
 }
 
 func TestWALCorruptionInSealedSegmentRefusesOpen(t *testing.T) {
@@ -340,6 +394,69 @@ func TestWALCorruptionInSealedSegmentRefusesOpen(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{SegmentBytes: 256}); err == nil {
 		t.Fatal("corrupted sealed segment opened without error")
+	}
+}
+
+// TestWALRecoveryRefusalsLeaveFilesUntouched checks two refusals that
+// must not repair anything: a bad frame in a sealed segment, and a last
+// segment whose header starts at the wrong seq (a readable header is not
+// a torn one, so it is not rebuilt).
+func TestWALRecoveryRefusalsLeaveFilesUntouched(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		damage     func(files []string, read func(string) []byte) (string, []byte)
+	}{
+		{"sealed bad frame", "bad frame at offset", func(files []string, read func(string) []byte) (string, []byte) {
+			b := read(files[0])
+			b[len(b)/2] ^= 0xFF
+			return files[0], b
+		}},
+		{"last header seq", "starts at seq", func(files []string, read func(string) []byte) (string, []byte) {
+			last := files[len(files)-1]
+			b := read(last)
+			binary.BigEndian.PutUint64(b[8:], binary.BigEndian.Uint64(b[8:])+1)
+			return last, b
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			w, err := Open(dir, Options{SegmentBytes: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendN(t, w, 0, 60)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			files, err := walFiles(dir)
+			if err != nil || len(files) < 3 {
+				t.Fatalf("files = %v, %v; want at least 3 segments", files, err)
+			}
+			read := func(name string) []byte {
+				b, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			name, damaged := tc.damage(files, read)
+			if err := os.WriteFile(filepath.Join(dir, name), damaged, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := map[string][]byte{}
+			for _, f := range files {
+				before[f] = read(f)
+			}
+			_, err = Open(dir, Options{SegmentBytes: 256})
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open = %v, want ErrCorrupt with %q", err, tc.want)
+			}
+			for _, f := range files {
+				if !bytes.Equal(read(f), before[f]) {
+					t.Fatalf("refused Open changed %s", f)
+				}
+			}
+		})
 	}
 }
 
