@@ -15,7 +15,6 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -29,7 +28,6 @@ var (
 	ErrBadQuote     = errors.New("attest: quote signature invalid")
 	ErrStaleNonce   = errors.New("attest: nonce mismatch")
 	ErrMeasurement  = errors.New("attest: measurement does not match policy")
-	ErrSealed       = errors.New("attest: platform state changed, unseal refused")
 	ErrNoSuchRegion = errors.New("attest: platform not certified for region")
 )
 
@@ -38,24 +36,16 @@ var (
 const NumPCRs = 24
 
 // A TPM is a simulated trusted platform module: a key that never leaves the
-// device, a bank of PCRs extended with code/config measurements, and sealed
-// storage bound to PCR state.
+// device and a bank of PCRs extended with code/config measurements.
 type TPM struct {
 	deviceID string
 	keys     *pki.KeyPair
 
-	mu     sync.Mutex
-	pcrs   [NumPCRs][32]byte
-	sealed map[string]sealedBlob
+	mu   sync.Mutex
+	pcrs [NumPCRs][32]byte
 	// region is the geographic region a provisioning authority certified
 	// for this platform (empty when uncertified).
 	region string
-}
-
-type sealedBlob struct {
-	pcrIndex int
-	pcrValue [32]byte
-	data     []byte
 }
 
 // NewTPM manufactures a TPM with a fresh endorsement key.
@@ -64,7 +54,7 @@ func NewTPM(deviceID string) (*TPM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("attest: %w", err)
 	}
-	return &TPM{deviceID: deviceID, keys: keys, sealed: make(map[string]sealedBlob)}, nil
+	return &TPM{deviceID: deviceID, keys: keys}, nil
 }
 
 // DeviceID returns the platform identifier.
@@ -157,46 +147,4 @@ func (t *TPM) GenerateQuote(nonce uint64, pcrs []int) (*Quote, error) {
 	}
 	q.Sig = t.keys.Sign(quoteBody(q))
 	return q, nil
-}
-
-// Seal stores data retrievable only while the named PCR retains its current
-// value — the TPM sealed-storage primitive.
-func (t *TPM) Seal(name string, pcr int, data []byte) error {
-	if pcr < 0 || pcr >= NumPCRs {
-		return fmt.Errorf("attest: pcr %d out of range", pcr)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	owned := make([]byte, len(data))
-	copy(owned, data)
-	t.sealed[name] = sealedBlob{pcrIndex: pcr, pcrValue: t.pcrs[pcr], data: owned}
-	return nil
-}
-
-// Unseal returns sealed data if the platform state still matches.
-func (t *TPM) Unseal(name string) ([]byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	blob, ok := t.sealed[name]
-	if !ok {
-		return nil, fmt.Errorf("attest: no sealed blob %q", name)
-	}
-	if t.pcrs[blob.pcrIndex] != blob.pcrValue {
-		return nil, fmt.Errorf("%w: blob %q bound to pcr %d", ErrSealed, name, blob.pcrIndex)
-	}
-	out := make([]byte, len(blob.data))
-	copy(out, blob.data)
-	return out, nil
-}
-
-// Marshal serialises a quote for transport.
-func (q *Quote) Marshal() ([]byte, error) { return json.Marshal(q) }
-
-// UnmarshalQuote parses a serialised quote.
-func UnmarshalQuote(b []byte) (*Quote, error) {
-	var q Quote
-	if err := json.Unmarshal(b, &q); err != nil {
-		return nil, fmt.Errorf("attest: parse quote: %w", err)
-	}
-	return &q, nil
 }

@@ -378,20 +378,6 @@ func (g *Graph) walkLocked(s uint32, outgoing bool) []string {
 	return out
 }
 
-// PathExists reports whether dst is in src's ancestry closure.
-func (g *Graph) PathExists(src, dst string) (bool, error) {
-	anc, err := g.Ancestry(src)
-	if err != nil {
-		return false, err
-	}
-	for _, n := range anc {
-		if n == dst {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
 // Agents returns the agents controlling any process in id's ancestry — the
 // "who is responsible?" query for apportioning liability.
 func (g *Graph) Agents(id string) ([]string, error) {

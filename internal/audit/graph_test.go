@@ -84,13 +84,11 @@ func TestFig11AuditGraph(t *testing.T) {
 		t.Errorf("Descendants(F1) = %v wrongly includes F2", desc)
 	}
 
-	ok, err := g.PathExists("F4", "F1")
-	if err != nil || !ok {
-		t.Fatalf("PathExists(F4, F1) = %v, %v", ok, err)
+	if anc, err := g.Ancestry("F4"); err != nil || !containsString(anc, "F1") {
+		t.Fatalf("Ancestry(F4) = %v, %v; want F1 in it", anc, err)
 	}
-	ok, err = g.PathExists("F1", "F4")
-	if err != nil || ok {
-		t.Fatalf("PathExists(F1, F4) = %v (ancestry is directed)", ok)
+	if anc, err := g.Ancestry("F1"); err != nil || containsString(anc, "F4") {
+		t.Fatalf("Ancestry(F1) = %v, %v (ancestry is directed)", anc, err)
 	}
 }
 

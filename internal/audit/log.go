@@ -185,9 +185,6 @@ func (l *Log) SetStagingLanes(n int) {
 	l.lanes.Store(&lanes)
 }
 
-// StagingLanes reports the current staging lane count.
-func (l *Log) StagingLanes() int { return len(*l.getLanes()) }
-
 // getLanes returns the staging lanes, lazily installing a single lane so
 // the zero-value Log stays ready to use.
 func (l *Log) getLanes() *[]stageLane {
@@ -486,7 +483,10 @@ func (l *Log) Select(filter func(Record) bool) []Record {
 	l.Flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Record, 0, l.nextSeq-l.firstSeq)
+	var out []Record
+	if filter == nil {
+		out = make([]Record, 0, l.nextSeq-l.firstSeq)
+	}
 	for seq := l.firstSeq; seq < l.nextSeq; seq++ {
 		if r := l.at(seq); filter == nil || filter(*r) {
 			out = append(out, *r)
@@ -534,27 +534,6 @@ func VerifyRecord(r *Record, prev *[32]byte) error {
 		}
 	} else if computeHash(r) != r.Hash {
 		return fmt.Errorf("%w: record %d content hash mismatch", ErrChainBroken, r.Seq)
-	}
-	return nil
-}
-
-// Redact replaces the retained record with the given sequence number by
-// its chain-preserving tombstone (see Record.Redact): the payload fields
-// are zeroed while linkage survives, so Verify still passes end to end.
-// Redacting an already-redacted record is a no-op. This is the in-memory
-// half of erasure; the disk tier redacts through store.AuditStore.
-func (l *Log) Redact(seq uint64, note string) error {
-	l.Flush()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if seq < l.firstSeq {
-		return fmt.Errorf("%w: seq %d < first retained %d", ErrPruned, seq, l.firstSeq)
-	}
-	if seq >= l.nextSeq {
-		return fmt.Errorf("audit: seq %d beyond head %d", seq, l.nextSeq)
-	}
-	if r := l.at(seq); !r.Redacted {
-		*r = r.Redact(note)
 	}
 	return nil
 }

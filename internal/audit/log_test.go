@@ -2,6 +2,7 @@ package audit
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -134,6 +135,27 @@ func TestLogGetAndSelect(t *testing.T) {
 	}
 }
 
+// TestLogSelectSizesToMatches: a filtered Select allocates for what it
+// returns, not for the whole retained window; erasure calls it with a
+// filter over every retained record.
+func TestLogSelectSizesToMatches(t *testing.T) {
+	l := NewLog(testClock())
+	for i := 0; i < 10000; i++ {
+		l.AppendAsync(flowRecord("a", "b", i != 5000))
+	}
+	l.Flush()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := l.Select(func(r Record) bool { return r.Kind == FlowDenied })
+	runtime.ReadMemStats(&after)
+	if len(got) != 1 || got[0].Seq != 5000 {
+		t.Fatalf("Select matched %d records", len(got))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("Select of 1 record in 10000 allocated %d bytes, want < 64 KiB", grew)
+	}
+}
+
 func TestLogPruneAndOffload(t *testing.T) {
 	l := NewLog(testClock())
 	for i := 0; i < 10; i++ {
@@ -218,8 +240,8 @@ func TestLogPruneAcrossChunks(t *testing.T) {
 		} else if err := VerifySegment(seg, &recs[0]); err != nil {
 			t.Fatalf("retained chain does not follow Prune(%d): %v", upto, err)
 		}
-		if err := l.Redact(upto+1, "erased"); err != nil {
-			t.Fatal(err)
+		if n := l.RedactMany([]uint64{upto + 1}, "erased"); n != 1 {
+			t.Fatalf("RedactMany tombstoned %d records, want 1", n)
 		}
 		if bad, err := l.Verify(); err != nil {
 			t.Fatalf("after Prune(%d): chain broken at %d: %v", upto, bad, err)

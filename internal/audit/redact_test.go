@@ -22,8 +22,8 @@ func redactTestLog(t *testing.T, n int) *Log {
 // while the payload is gone.
 func TestLogRedactKeepsChainVerifiable(t *testing.T) {
 	l := redactTestLog(t, 5)
-	if err := l.Redact(2, "retention expired"); err != nil {
-		t.Fatal(err)
+	if n := l.RedactMany([]uint64{2}, "retention expired"); n != 1 {
+		t.Fatalf("RedactMany tombstoned %d records, want 1", n)
 	}
 	if bad, err := l.Verify(); err != nil {
 		t.Fatalf("chain broken at %d: %v", bad, err)

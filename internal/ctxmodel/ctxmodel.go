@@ -3,7 +3,7 @@
 // rosters, emergency state. "Policy is inherently contextual, defined to be
 // enforced in particular circumstances", so the store supports atomic
 // snapshots (a rule must be evaluated against one consistent world view)
-// and change subscriptions (the policy engine reacts to context change).
+// and change hooks (the policy engine reacts to context change).
 package ctxmodel
 
 import (
@@ -104,7 +104,7 @@ func (s Snapshot) Keys() []string {
 	return out
 }
 
-// A Change describes one attribute update delivered to subscribers.
+// A Change describes one attribute update delivered to hooks.
 type Change struct {
 	Key      string
 	Old, New Value
@@ -113,14 +113,12 @@ type Change struct {
 }
 
 // A Store is a concurrent context store with versioned snapshots and
-// subscriptions. The zero value is ready to use.
+// change hooks. The zero value is ready to use.
 type Store struct {
 	mu      sync.RWMutex
 	values  map[string]Value
 	version uint64
 	now     func() time.Time
-	subs    map[int]chan Change
-	nextSub int
 	// hooks run synchronously, in registration order, after each Set, on
 	// the caller's goroutine. The policy engine uses a hook so that
 	// context-triggered rules evaluate deterministically.
@@ -132,7 +130,7 @@ func NewStore(clock func() time.Time) *Store {
 	if clock == nil {
 		clock = time.Now
 	}
-	return &Store{values: make(map[string]Value), now: clock, subs: make(map[int]chan Change)}
+	return &Store{values: make(map[string]Value), now: clock}
 }
 
 // AddHook registers a synchronous change observer, invoked on the Set
@@ -145,8 +143,8 @@ func (s *Store) AddHook(fn func(Change)) {
 	s.hooks = append(s.hooks, fn)
 }
 
-// Set updates an attribute and notifies subscribers and hooks. It returns
-// the new store version.
+// Set updates an attribute and notifies the hooks. It returns the new
+// store version.
 func (s *Store) Set(key string, v Value) uint64 {
 	s.mu.Lock()
 	old, had := s.values[key]
@@ -154,21 +152,9 @@ func (s *Store) Set(key string, v Value) uint64 {
 	s.version++
 	ver := s.version
 	ch := Change{Key: key, Old: old, New: v, HadOld: had, Version: ver}
-	subs := make([]chan Change, 0, len(s.subs))
-	for _, c := range s.subs {
-		subs = append(subs, c)
-	}
 	hooks := s.hooks
 	s.mu.Unlock()
 
-	for _, c := range subs {
-		// Best effort: a slow subscriber must not stall context updates;
-		// it can always resynchronise from a snapshot.
-		select {
-		case c <- ch:
-		default:
-		}
-	}
 	for _, h := range hooks {
 		h(ch)
 	}
@@ -186,9 +172,9 @@ func (s *Store) Delete(key string) {
 // DeleteMatching removes every attribute whose key the predicate accepts,
 // returning how many were dropped. Erasure obligations use it to purge
 // context state derived from an erased subject (attributes are keyed by
-// subject-prefixed names by convention, e.g. "ann/heart-rate"). Hooks and
-// subscribers are deliberately not notified: erasure removes facts, it
-// must not look like new context to react to.
+// subject-prefixed names by convention, e.g. "ann/heart-rate"). Hooks are
+// deliberately not notified: erasure removes facts, it must not look like
+// new context to react to.
 func (s *Store) DeleteMatching(match func(key string) bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -222,26 +208,6 @@ func (s *Store) Snapshot() Snapshot {
 		cp[k] = v
 	}
 	return Snapshot{values: cp, Version: s.version, At: s.now()}
-}
-
-// Subscribe returns a channel of changes and a cancel function. The channel
-// has a small buffer; overflowing changes are dropped (subscribers
-// resynchronise via Snapshot), keeping the store non-blocking.
-func (s *Store) Subscribe() (<-chan Change, func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.nextSub
-	s.nextSub++
-	ch := make(chan Change, 64)
-	s.subs[id] = ch
-	return ch, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if c, ok := s.subs[id]; ok {
-			delete(s.subs, id)
-			close(c)
-		}
-	}
 }
 
 // MakeSnapshot builds a snapshot directly from a map; used by tests and by

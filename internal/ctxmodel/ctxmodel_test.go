@@ -103,59 +103,6 @@ func TestSnapshotKeysSorted(t *testing.T) {
 	}
 }
 
-func TestSubscription(t *testing.T) {
-	s := NewStore(nil)
-	ch, cancel := s.Subscribe()
-	defer cancel()
-
-	s.Set("location", String("work"))
-	select {
-	case c := <-ch:
-		if c.Key != "location" || c.New.Str != "work" || c.HadOld {
-			t.Fatalf("change = %+v", c)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no change delivered")
-	}
-
-	s.Set("location", String("home"))
-	c := <-ch
-	if !c.HadOld || c.Old.Str != "work" || c.New.Str != "home" {
-		t.Fatalf("second change = %+v", c)
-	}
-}
-
-func TestSubscriptionCancelCloses(t *testing.T) {
-	s := NewStore(nil)
-	ch, cancel := s.Subscribe()
-	cancel()
-	if _, open := <-ch; open {
-		t.Fatal("channel not closed on cancel")
-	}
-	// Double cancel must not panic.
-	cancel()
-	// Writes after cancel must not panic either.
-	s.Set("x", Number(1))
-}
-
-func TestSlowSubscriberDoesNotBlockStore(t *testing.T) {
-	s := NewStore(nil)
-	_, cancel := s.Subscribe() // never drained
-	defer cancel()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 1000; i++ { // far more than the buffer
-			s.Set("k", Number(float64(i)))
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("store blocked on slow subscriber")
-	}
-}
-
 func TestMakeSnapshotCopies(t *testing.T) {
 	m := map[string]Value{"a": Number(1)}
 	snap := MakeSnapshot(m)

@@ -1,7 +1,6 @@
 package ifc
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -140,26 +139,6 @@ func (r *GateRegistry) Gate(name string) (*Gate, bool) {
 	defer r.mu.RUnlock()
 	g, ok := r.gates[name]
 	return g, ok
-}
-
-// Names lists installed gate names, sorted.
-func (r *GateRegistry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.gates))
-	for n := range r.gates {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Generation returns the registry's route-cache generation; it advances on
-// every Install and Remove.
-func (r *GateRegistry) Generation() uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gen
 }
 
 // Route reports whether data may move from src to dst: directly under the

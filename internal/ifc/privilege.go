@@ -128,6 +128,10 @@ func (p Privileges) String() string {
 	return b.String()
 }
 
+// A PrincipalID identifies a tag owner: a user, organisation, application
+// manager or domain authority.
+type PrincipalID string
+
 // OwnerPrivileges returns the full privilege set over the given tags: the
 // right to add and remove each of them on both labels. Tag creation confers
 // ownership (Section 6, "Tag Ownership"), and ownership confers these
@@ -135,4 +139,12 @@ func (p Privileges) String() string {
 func OwnerPrivileges(tags ...Tag) Privileges {
 	l := newLabelUnchecked(tags)
 	return Privileges{AddSecrecy: l, RemoveSecrecy: l, AddIntegrity: l, RemoveIntegrity: l}
+}
+
+// Equal reports whether two privilege sets confer identical rights.
+func (p Privileges) Equal(other Privileges) bool {
+	return p.AddSecrecy.Equal(other.AddSecrecy) &&
+		p.RemoveSecrecy.Equal(other.RemoveSecrecy) &&
+		p.AddIntegrity.Equal(other.AddIntegrity) &&
+		p.RemoveIntegrity.Equal(other.RemoveIntegrity)
 }

@@ -1,13 +1,10 @@
-// Package pki provides the certificate infrastructure the paper assumes for
-// a wide-scale security regime (Section 4): "a PKI where 'things' have
-// private keys and public key certificates, signed by a certificate
-// authority linking them to their owners", plus the X.509-style *attribute*
-// certificates SBUS uses to carry privileges, credentials and context
-// (Section 8.1, footnote 2), and a decentralised web-of-trust alternative.
+// Package pki holds the signing identity the paper's security regime
+// assumes every "thing" has (Section 4: "a PKI where 'things' have private
+// keys and public key certificates"). Today that is one Ed25519 key pair,
+// which the simulated TPM in package attest signs its quotes with.
 //
-// Substitution note (see DESIGN.md): certificates here are our own compact
-// encoding signed with stdlib Ed25519 rather than ASN.1 X.509. The trust
-// semantics the middleware depends on — CA chains, expiry, revocation,
-// attribute binding, delegation-limited path lengths — are preserved; only
-// the wire syntax differs.
+// Substitution note (see DESIGN.md): keys are stdlib Ed25519; the
+// certificate authority, certificate chains and revocation the paper
+// describes are not built, because no running part of the middleware
+// consumes them.
 package pki

@@ -28,9 +28,9 @@
 // (walkSegment) is the only code that reads a segment file, through one
 // pooled 1 MiB buffer, CRC-checking every frame. The callers differ only
 // in policy: recovery enforces the frame seq and truncates a torn tail of
-// the last segment (refusing one anywhere else), ReadSeq and ReadTime stop
-// silently at a torn frame and at the end of their range, and redaction
-// refuses any bad frame and writes the rewritten segment through one
+// the last segment (refusing one anywhere else), ReadSeq stops silently
+// at a torn frame and at the end of its range, and redaction refuses any
+// bad frame and writes the rewritten segment through one
 // buffered handle. No caller holds a whole segment in memory.
 //
 // Recovery re-hashes and re-links every persisted record, working on the

@@ -50,7 +50,7 @@ func TestWALRedactRewritesInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Redact(17, func(old []byte) ([]byte, error) {
+	if err := w.RedactMany([]uint64{17}, func(_ uint64, old []byte) ([]byte, error) {
 		if string(old) != "payload-017" {
 			return nil, fmt.Errorf("redact saw %q", old)
 		}
@@ -107,7 +107,7 @@ func TestWALRedactRange(t *testing.T) {
 	if _, err := w.Append(time.Now(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Redact(99, func(b []byte) ([]byte, error) { return b, nil }); !errors.Is(err, ErrNotRetained) {
+	if err := w.RedactMany([]uint64{99}, func(_ uint64, b []byte) ([]byte, error) { return b, nil }); !errors.Is(err, ErrNotRetained) {
 		t.Fatalf("redact beyond head = %v, want ErrNotRetained", err)
 	}
 }
@@ -247,6 +247,78 @@ func TestAuditStoreRedactTombstone(t *testing.T) {
 	}
 }
 
+// TestAuditStoreNoOpRedactLeavesSegment: erasing records that are
+// already tombstoned changes no payload, so the segment holding them is
+// not rewritten. It keeps its inode and its bytes, and the active handle
+// still appends to it.
+func TestAuditStoreNoOpRedactLeavesSegment(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenAudit(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	log := audit.NewLog(nil)
+	if err := s.AttachLog(log); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		log.AppendAsync(audit.Record{
+			Kind: audit.FlowAllowed, Layer: audit.LayerMessaging, Domain: "d",
+			Src: "sensor", Dst: "analyser", DataID: fmt.Sprintf("datum-%d", i),
+		})
+	}
+	log.Flush()
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.RedactMany([]uint64{3, 7}, "retention expired"); err != nil || n != 2 {
+		t.Fatalf("first erasure = (%d, %v), want (2, nil)", n, err)
+	}
+	names, err := walFiles(dir)
+	if err != nil || len(names) != 1 {
+		t.Fatalf("segments = %v, %v; want one", names, err)
+	}
+	path := filepath.Join(dir, names[0])
+	stat := func() (os.FileInfo, []byte) {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi, b
+	}
+	fiBefore, before := stat()
+
+	if n, err := s.RedactMany([]uint64{3, 7}, "again"); err != nil || n != 0 {
+		t.Fatalf("repeat erasure = (%d, %v), want (0, nil)", n, err)
+	}
+	fiAfter, after := stat()
+	if !os.SameFile(fiBefore, fiAfter) {
+		t.Fatal("a redaction that changed nothing replaced the segment file")
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a redaction that changed nothing changed the segment's bytes")
+	}
+	if _, err := os.Stat(path + ".redact"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("temp file left behind: %v", err)
+	}
+	log.AppendAsync(audit.Record{Kind: audit.Reconfiguration, Domain: "d", Note: "after"})
+	log.Flush()
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if bad, err := s.Verify(); err != nil {
+		t.Fatalf("chain broken at %d: %v", bad, err)
+	}
+	if s.Len() != 21 {
+		t.Fatalf("store holds %d records, want 21", s.Len())
+	}
+}
+
 // allocated returns the bytes the process allocated while fn ran.
 func allocated(fn func()) uint64 {
 	var before, after runtime.MemStats
@@ -381,7 +453,7 @@ func TestWALRedactRefusesCorruptSegment(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			err = w.Redact(seg.firstSeq, func([]byte) ([]byte, error) { return []byte("tombstone"), nil })
+			err = w.RedactMany([]uint64{seg.firstSeq}, func(uint64, []byte) ([]byte, error) { return []byte("tombstone"), nil })
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("redact over a damaged segment = %v, want ErrCorrupt", err)
 			}

@@ -148,7 +148,7 @@ func TestAuditStoreTamperMatrix(t *testing.T) {
 			if err := s.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.WAL().Redact(target, func(old []byte) ([]byte, error) {
+			if err := s.WAL().RedactMany([]uint64{target}, func(_ uint64, old []byte) ([]byte, error) {
 				return tc.tamper(append([]byte(nil), old...)), nil
 			}); err != nil {
 				t.Fatal(err)

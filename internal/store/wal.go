@@ -2,6 +2,7 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -62,12 +63,10 @@ type Entry struct {
 
 // segment is the in-memory metadata for one segment file.
 type segment struct {
-	firstSeq  uint64
-	count     uint64
-	firstNano int64
-	lastNano  int64
-	path      string
-	size      int64
+	firstSeq uint64
+	count    uint64
+	path     string
+	size     int64
 }
 
 func (s *segment) endSeq() uint64 { return s.firstSeq + s.count }
@@ -104,8 +103,6 @@ type WAL struct {
 	pendCond *sync.Cond
 	pending  []byte // encoded frames awaiting commit
 	pendN    int    // records in pending
-	pendLo   int64  // min/max unixNano in pending
-	pendHi   int64
 	nextSeq  uint64 // next sequence number to assign
 	// enqueued/completed count records over the WAL's lifetime; Sync waits
 	// for completed to reach enqueued-as-of-the-call.
@@ -216,10 +213,6 @@ func (w *WAL) recoverSegment(path string, first bool, expected uint64, last bool
 		if fr.seq != seg.endSeq() {
 			return fmt.Errorf("%w: %s: frame seq %d, want %d", ErrCorrupt, path, fr.seq, seg.endSeq())
 		}
-		if seg.count == 0 {
-			seg.firstNano = fr.unixNano
-		}
-		seg.lastNano = fr.unixNano
 		seg.count++
 		return nil
 	})
@@ -345,16 +338,6 @@ func (w *WAL) Append(t time.Time, payload []byte) (uint64, error) {
 	}
 	seq := w.nextSeq
 	w.nextSeq++
-	if w.pendN == 0 {
-		w.pendLo, w.pendHi = nano, nano
-	} else {
-		if nano < w.pendLo {
-			w.pendLo = nano
-		}
-		if nano > w.pendHi {
-			w.pendHi = nano
-		}
-	}
 	w.pending = appendFrame(w.pending, seq, nano, payload)
 	w.pendN++
 	w.enqueued++
@@ -389,7 +372,6 @@ func (w *WAL) drain() {
 	for {
 		w.pendMu.Lock()
 		batch, n := w.pending, w.pendN
-		lo, hi := w.pendLo, w.pendHi
 		batchEnd := w.nextSeq
 		sticky := w.err
 		w.pending, w.pendN = nil, 0
@@ -408,7 +390,7 @@ func (w *WAL) drain() {
 		// Drop the batch and let the sticky error surface via Sync.
 		err := sticky
 		if err == nil {
-			err = w.commitBatch(batch, uint64(n), batchEnd, lo, hi)
+			err = w.commitBatch(batch, uint64(n), batchEnd)
 		}
 
 		w.pendMu.Lock()
@@ -429,7 +411,7 @@ func (w *WAL) drain() {
 // group commit that amortises durability across every record that arrived
 // while the previous fsync was in flight. Batches larger than the
 // remaining segment room are split at frame boundaries across a rotation.
-func (w *WAL) commitBatch(batch []byte, n, batchEnd uint64, lo, hi int64) error {
+func (w *WAL) commitBatch(batch []byte, n, batchEnd uint64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	seq := batchEnd - n // first sequence number in the batch
@@ -460,17 +442,6 @@ func (w *WAL) commitBatch(batch []byte, n, batchEnd uint64, lo, hi int64) error 
 		}
 		if err := w.syncFile(w.active); err != nil {
 			return err
-		}
-		// Batch-wide time bounds are applied to each touched segment:
-		// conservative (a segment may claim a slightly wider range than it
-		// holds), which only ever costs ReadTime an extra scan.
-		if seg.count == 0 {
-			seg.firstNano = lo
-		} else if lo < seg.firstNano {
-			seg.firstNano = lo
-		}
-		if hi > seg.lastNano {
-			seg.lastNano = hi
 		}
 		seg.count += count
 		seg.size += int64(off - start)
@@ -650,57 +621,31 @@ func (w *WAL) snapshotSegs() []segment {
 // means "to the end") through fn in sequence order. It syncs first, so a
 // preceding Append is always visible. fn returning an error stops the
 // scan and surfaces the error. The scan stops at the first frame at or
-// past to; it never reads the rest of that segment. Entry.Payload is only
+// past to; it never reads the rest of that segment. A torn frame ends a
+// segment's scan silently: it is either the in-flight tail of the active
+// segment or a tail the next Open will truncate. Entry.Payload is only
 // valid during fn.
 func (w *WAL) ReadSeq(from, to uint64, fn func(Entry) error) error {
-	return w.scan(func(seg segment) bool {
-		return seg.endSeq() > from && (to == 0 || seg.firstSeq < to)
-	}, func(e Entry) error {
-		if to != 0 && e.Seq >= to {
-			return errStopScan
-		}
-		if e.Seq < from {
-			return nil
-		}
-		return fn(e)
-	})
-}
-
-// ReadTime streams every committed record with from <= Time < to through
-// fn in sequence order. Time ranges use the per-segment min/max stamps to
-// skip segments wholesale; within a candidate segment each record's own
-// timestamp decides.
-func (w *WAL) ReadTime(from, to time.Time, fn func(Entry) error) error {
-	lo, hi := from.UnixNano(), to.UnixNano()
-	return w.scan(func(seg segment) bool {
-		return seg.count > 0 && seg.lastNano >= lo && seg.firstNano < hi
-	}, func(e Entry) error {
-		if n := e.Time.UnixNano(); n < lo || n >= hi {
-			return nil
-		}
-		return fn(e)
-	})
-}
-
-// scan syncs, then streams every committed record of the segments keep
-// accepts through fn in sequence order. A torn frame ends a segment's
-// scan silently: it is either the in-flight tail of the active segment or
-// a tail the next Open will truncate.
-func (w *WAL) scan(keep func(segment) bool, fn func(Entry) error) error {
 	if err := w.Sync(); err != nil {
 		return err
 	}
 	limit := w.DurableSeq()
+	if to == 0 || to > limit {
+		to = limit
+	}
 	for _, seg := range w.snapshotSegs() {
-		if seg.firstSeq >= limit {
+		if seg.firstSeq >= to {
 			break
 		}
-		if !keep(seg) {
+		if seg.endSeq() <= from {
 			continue
 		}
 		if _, _, err := walkSegment(seg.path, nil, func(fr frameInfo) error {
-			if fr.seq >= limit {
+			if fr.seq >= to {
 				return errStopScan
+			}
+			if fr.seq < from {
+				return nil
 			}
 			return fn(Entry{Seq: fr.seq, Time: time.Unix(0, fr.unixNano), Payload: fr.payload})
 		}); err != nil {
@@ -852,15 +797,6 @@ func (w *WAL) Prune(upto uint64) (int, error) {
 	return removed, nil
 }
 
-// Redact rewrites the committed record with the given sequence number,
-// replacing its payload with whatever replace returns — the WAL half of
-// chain-preserving tombstones. See RedactMany for the mechanism.
-func (w *WAL) Redact(seq uint64, replace func(old []byte) ([]byte, error)) error {
-	return w.RedactMany([]uint64{seq}, func(_ uint64, old []byte) ([]byte, error) {
-		return replace(old)
-	})
-}
-
 // RedactMany rewrites the committed records with the given sequence
 // numbers, replacing each payload with whatever replace returns. Each
 // affected segment is rewritten exactly once — to a temporary file,
@@ -869,8 +805,10 @@ func (w *WAL) Redact(seq uint64, replace func(old []byte) ([]byte, error)) error
 // torn one, and a 10k-record erasure costs one rewrite per segment, not
 // per record. Sequence numbers, timestamps and untargeted frames are
 // preserved byte for byte. replace returning the payload unchanged makes
-// that record a no-op. The old payload aliases the segment walk's read
-// buffer and, like Entry.Payload, is only valid during the call.
+// that record a no-op, and a segment whose every targeted record is a
+// no-op is left untouched: no rename, no directory sync. The old payload
+// aliases the segment walk's read buffer and, like Entry.Payload, is only
+// valid during the call.
 func (w *WAL) RedactMany(seqs []uint64, replace func(seq uint64, old []byte) ([]byte, error)) error {
 	if len(seqs) == 0 {
 		return nil
@@ -920,14 +858,14 @@ func (w *WAL) RedactMany(seqs []uint64, replace func(seq uint64, old []byte) ([]
 
 // redactSegmentLocked rewrites one segment, replacing every frame whose
 // seq is in want; w.mu must be held. Returns the number of frames
-// replaced.
+// targeted, changed or not.
 func (w *WAL) redactSegmentLocked(segIdx int, want map[uint64]bool,
 	replace func(seq uint64, old []byte) ([]byte, error)) (int, error) {
 	seg := w.segs[segIdx]
 	tmp := seg.path + ".redact"
-	matched, written, err := w.writeRedacted(seg.path, tmp, want, replace)
-	if err != nil || matched == 0 {
-		return 0, err
+	matched, changed, written, err := w.writeRedacted(seg.path, tmp, want, replace)
+	if err != nil || changed == 0 {
+		return matched, err
 	}
 	activeSeg := segIdx == len(w.segs)-1
 	// reattach reopens the (possibly rewritten) segment as the active file
@@ -979,21 +917,24 @@ func (w *WAL) redactSegmentLocked(segIdx int, want map[uint64]bool,
 // writeRedacted streams the segment at path into tmp through one buffered
 // handle, replacing the payload of every frame whose seq is in want, and
 // fsyncs that handle. Any bad frame is ErrCorrupt: a redaction never
-// drops what it cannot read. It returns the number of frames replaced and
-// tmp's size; on an error, or with nothing replaced, tmp is removed.
+// drops what it cannot read. It returns the number of frames targeted,
+// the number whose payload replace changed, and tmp's size; on an error,
+// or with nothing changed, tmp is removed.
 func (w *WAL) writeRedacted(path, tmp string, want map[uint64]bool,
-	replace func(seq uint64, old []byte) ([]byte, error)) (matched int, size int64, err error) {
+	replace func(seq uint64, old []byte) ([]byte, error)) (matched, changed int, size int64, err error) {
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return 0, 0, fmt.Errorf("store: %w", err)
+		return 0, 0, 0, fmt.Errorf("store: %w", err)
 	}
 	defer func() {
 		if cerr := f.Close(); cerr != nil && err == nil {
 			err = fmt.Errorf("store: %w", cerr)
 		}
-		if err != nil || matched == 0 {
+		if err != nil || changed == 0 {
 			os.Remove(tmp)
-			matched = 0
+		}
+		if err != nil {
+			matched, changed = 0, 0
 		}
 	}()
 	bw := bufio.NewWriterSize(f, 256<<10)
@@ -1016,24 +957,28 @@ func (w *WAL) writeRedacted(path, tmp string, want map[uint64]bool,
 			return err
 		}
 		matched++
+		if bytes.Equal(next, fr.payload) {
+			return write(fr.raw)
+		}
+		changed++
 		frame = appendFrame(frame[:0], fr.seq, fr.unixNano, next)
 		return write(frame)
 	})
 	switch {
 	case err != nil:
-		return 0, 0, err
+		return 0, 0, 0, err
 	case torn:
-		return 0, 0, fmt.Errorf("%w: %s: bad frame at offset %d", ErrCorrupt, path, end)
-	case matched == 0:
-		return 0, 0, nil
+		return 0, 0, 0, fmt.Errorf("%w: %s: bad frame at offset %d", ErrCorrupt, path, end)
+	case changed == 0:
+		return matched, 0, 0, nil
 	}
 	if err = bw.Flush(); err == nil && !w.opts.NoSync {
 		err = f.Sync()
 	}
 	if err != nil {
-		return 0, 0, fmt.Errorf("store: %w", err)
+		return 0, 0, 0, fmt.Errorf("store: %w", err)
 	}
-	return matched, size, nil
+	return matched, changed, size, nil
 }
 
 // Close syncs and closes the WAL. Further appends fail with ErrClosed.

@@ -67,27 +67,6 @@ func TestWALAppendReadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWALReadTime(t *testing.T) {
-	w, err := Open(t.TempDir(), Options{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	appendN(t, w, 0, 50) // times 1000..1049, several segments
-
-	var got []uint64
-	err = w.ReadTime(time.Unix(1010, 0), time.Unix(1020, 0), func(e Entry) error {
-		got = append(got, e.Seq)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 || got[0] != 10 || got[9] != 19 {
-		t.Fatalf("time range = %v", got)
-	}
-}
-
 func TestWALReopenResumesSequence(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Open(dir, Options{SegmentBytes: 512})
@@ -239,16 +218,10 @@ func TestWALTornTailTruncation(t *testing.T) {
 	}
 }
 
-// FuzzWALRecover writes arbitrary bytes after a valid segment header and
-// opens the WAL over it. Recovery must never panic: it either refuses the
-// segment with an error, or truncates it to a prefix of the input whose
-// records ReadSeq returns intact — dense from seq 0, as many as NextSeq
-// reports, and re-encoding byte for byte to the segment left on disk.
-// Redacting one recovered record, picked by the input's length, must then
-// change that frame alone, read back, and reopen to the same NextSeq. The
-// seeds are the torn-tail test's 20-record segment body, cut mid-frame and
-// at a frame boundary, with one bit flipped, and with a frame out of seq.
-func FuzzWALRecover(f *testing.F) {
+// addWALSeeds seeds a WAL fuzz target with the torn-tail test's 20-record
+// segment body, cut mid-frame and at a frame boundary, with one bit
+// flipped, and with a frame out of seq.
+func addWALSeeds(f *testing.F) {
 	master := f.TempDir()
 	w, err := Open(master, Options{})
 	if err != nil {
@@ -275,19 +248,39 @@ func FuzzWALRecover(f *testing.F) {
 	f.Add(flipped)
 	f.Add(appendFrame(nil, 7, 0, []byte("out of seq")))
 	f.Add([]byte{})
+}
 
+// openFuzzSegment writes tail after a valid segment header as the only
+// segment of a fresh directory and opens it. It returns the segment's
+// path and the bytes written; w is nil when Open refused the segment.
+func openFuzzSegment(t *testing.T, tail []byte) (w *WAL, path string, input []byte) {
+	dir := t.TempDir()
+	path = filepath.Join(dir, segName(0))
+	input = append(appendSegHeader(nil, 0), tail...)
+	if err := os.WriteFile(path, input, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// No durability is under test here.
+	w, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		return nil, path, input // refused, never repaired silently
+	}
+	t.Cleanup(func() { w.Close() })
+	return w, path, input
+}
+
+// FuzzWALRecover writes arbitrary bytes after a valid segment header and
+// opens the WAL. Open must either refuse the segment or truncate it to a
+// prefix of the input that ReadSeq returns intact: every frame in seq
+// order, as many as NextSeq reports, and re-encoding byte for byte to the
+// segment left on disk.
+func FuzzWALRecover(f *testing.F) {
+	addWALSeeds(f)
 	f.Fuzz(func(t *testing.T, tail []byte) {
-		dir := t.TempDir()
-		path := filepath.Join(dir, segName(0))
-		input := append(appendSegHeader(nil, 0), tail...)
-		if err := os.WriteFile(path, input, 0o644); err != nil {
-			t.Fatal(err)
+		w, path, input := openFuzzSegment(t, tail)
+		if w == nil {
+			return
 		}
-		w, err := Open(dir, Options{NoSync: true})
-		if err != nil {
-			return // refused, never repaired silently
-		}
-		defer func() { w.Close() }()
 		disk, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -313,13 +306,28 @@ func FuzzWALRecover(f *testing.F) {
 		if !bytes.Equal(rebuilt, disk) {
 			t.Fatal("recovered segment does not re-encode from what ReadSeq returns")
 		}
-		if next == 0 {
+	})
+}
+
+// FuzzWALRedact recovers the same inputs as FuzzWALRecover, then redacts
+// one recovered record, picked by the input's length: that frame alone
+// must change, read back as the tombstone, and the WAL must reopen to the
+// same NextSeq.
+func FuzzWALRedact(f *testing.F) {
+	addWALSeeds(f)
+	f.Fuzz(func(t *testing.T, tail []byte) {
+		w, path, _ := openFuzzSegment(t, tail)
+		if w == nil || w.NextSeq() == 0 {
 			return
 		}
-
+		next := w.NextSeq()
+		disk, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		target := uint64(len(tail)) % next
 		tombstone := []byte(fmt.Sprintf("redacted-%d", len(tail)))
-		if err := w.Redact(target, func([]byte) ([]byte, error) { return tombstone, nil }); err != nil {
+		if err := w.RedactMany([]uint64{target}, func(uint64, []byte) ([]byte, error) { return tombstone, nil }); err != nil {
 			t.Fatalf("redact seq %d: %v", target, err)
 		}
 		if got := collect(t, w, target, target+1); len(got) != 1 || !bytes.Equal(got[0].Payload, tombstone) {
@@ -341,9 +349,11 @@ func FuzzWALRecover(f *testing.F) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if w, err = Open(dir, Options{NoSync: true}); err != nil {
+		w, err = Open(filepath.Dir(path), Options{NoSync: true})
+		if err != nil {
 			t.Fatalf("reopen after redaction: %v", err)
 		}
+		defer w.Close()
 		if w.NextSeq() != next {
 			t.Fatalf("reopen after redaction: NextSeq %d, want %d", w.NextSeq(), next)
 		}

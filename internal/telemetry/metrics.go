@@ -1,6 +1,6 @@
 // Package telemetry is the dependency-free observability core: sharded
-// atomic counters, gauges and log-linear latency histograms behind a
-// registry with stable names and labels, plus the flow-tracing substrate
+// atomic counters, func-backed gauges and log-linear latency histograms
+// behind a registry with stable names and labels, plus the flow-tracing substrate
 // (trace.go). It follows the same discipline as internal/fault: a disabled
 // instrument costs one atomic load on the hot path, so the whole layer can
 // stay compiled into the data path and be armed only where an operator
@@ -8,7 +8,7 @@
 //
 // Two kinds of instruments exist:
 //
-//   - Recording instruments (Counter, Gauge, Histogram) are written on the
+//   - Recording instruments (Counter, Histogram) are written on the
 //     hot path. Every record operation first consults the global enable
 //     gate; when telemetry is disabled the write is a single atomic load
 //     and a branch.
@@ -39,7 +39,7 @@ import (
 // atomic load per instrumented operation and nothing else.
 var gate atomic.Bool
 
-// Enable arms the recording instruments (counters, gauges, histograms).
+// Enable arms the recording instruments (counters, histograms).
 func Enable() { gate.Store(true) }
 
 // Disable disarms the recording instruments. Func-backed instruments keep
@@ -92,35 +92,6 @@ func (c *Counter) Value() uint64 {
 		t += c.cells[i].v.Load()
 	}
 	return t
-}
-
-// A Gauge is a point-in-time value (queue depth, buffered records).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the gauge value. One atomic load when telemetry is disabled.
-func (g *Gauge) Set(v int64) {
-	if g == nil || !gate.Load() {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil || !gate.Load() {
-		return
-	}
-	g.v.Add(delta)
-}
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // --- histograms ---
@@ -301,7 +272,6 @@ type instrument struct {
 	id   metricID
 	kind Kind
 	c    *Counter
-	g    *Gauge
 	h    *Histogram
 	// fn, when set, supplies the value at snapshot time (func-backed
 	// counter or gauge); monotone reports counter semantics.
@@ -389,13 +359,6 @@ func (r *Registry) Counter(name string, kv ...string) *Counter {
 	}).c
 }
 
-// Gauge registers (or returns the existing) gauge.
-func (r *Registry) Gauge(name string, kv ...string) *Gauge {
-	return r.lookup(name, kv, KindGauge, func() *instrument {
-		return &instrument{g: &Gauge{}}
-	}).g
-}
-
 // Histogram registers (or returns the existing) histogram.
 func (r *Registry) Histogram(name string, kv ...string) *Histogram {
 	return r.lookup(name, kv, KindHistogram, func() *instrument {
@@ -455,8 +418,6 @@ func (r *Registry) Snapshot() []Metric {
 			m.Value = in.fn()
 		case in.c != nil:
 			m.Value = float64(in.c.Value())
-		case in.g != nil:
-			m.Value = float64(in.g.Value())
 		case in.h != nil:
 			st := in.h.stats()
 			m.Hist = &st
@@ -529,23 +490,9 @@ func Find(snap []Metric, name string, kv ...string) (Metric, bool) {
 // NewCounter registers a counter in the default registry.
 func NewCounter(name string, kv ...string) *Counter { return defaultRegistry.Counter(name, kv...) }
 
-// NewGauge registers a gauge in the default registry.
-func NewGauge(name string, kv ...string) *Gauge { return defaultRegistry.Gauge(name, kv...) }
-
 // NewHistogram registers a histogram in the default registry.
 func NewHistogram(name string, kv ...string) *Histogram {
 	return defaultRegistry.Histogram(name, kv...)
-}
-
-// RegisterCounterFunc registers a func-backed counter in the default
-// registry.
-func RegisterCounterFunc(name string, fn func() float64, kv ...string) {
-	defaultRegistry.CounterFunc(name, fn, kv...)
-}
-
-// RegisterGaugeFunc registers a func-backed gauge in the default registry.
-func RegisterGaugeFunc(name string, fn func() float64, kv ...string) {
-	defaultRegistry.GaugeFunc(name, fn, kv...)
 }
 
 // Snapshot reads the default registry.

@@ -30,15 +30,12 @@ func TestDisabledInstrumentsRecordNothing(t *testing.T) {
 	})
 	r := NewRegistry()
 	c := r.Counter("t_c")
-	g := r.Gauge("t_g")
 	h := r.Histogram("t_h")
 	c.Add(5)
-	g.Set(7)
 	h.Observe(100)
 	h.ObserveSince(h.Start()) // Start returns zero time while disabled
-	if c.Value() != 0 || g.Value() != 0 || h.stats().Count != 0 {
-		t.Fatalf("disabled instruments recorded: c=%d g=%d hist=%d",
-			c.Value(), g.Value(), h.stats().Count)
+	if c.Value() != 0 || h.stats().Count != 0 {
+		t.Fatalf("disabled instruments recorded: c=%d hist=%d", c.Value(), h.stats().Count)
 	}
 }
 
@@ -50,9 +47,8 @@ func TestConcurrentRecordVsSnapshot(t *testing.T) {
 	armed(t)
 	r := NewRegistry()
 	c := r.Counter("t_conc_c", "side", "a")
-	g := r.Gauge("t_conc_g")
 	h := r.Histogram("t_conc_h")
-	r.GaugeFunc("t_conc_fn", func() float64 { return float64(g.Value()) })
+	r.GaugeFunc("t_conc_fn", func() float64 { return float64(c.Value()) })
 
 	const workers = 8
 	const perWorker = 10000
@@ -76,7 +72,6 @@ func TestConcurrentRecordVsSnapshot(t *testing.T) {
 			defer writers.Done()
 			for j := 0; j < perWorker; j++ {
 				c.Add(1)
-				g.Add(1)
 				h.Observe(int64(j%1000) + 1)
 			}
 		}()
@@ -87,9 +82,6 @@ func TestConcurrentRecordVsSnapshot(t *testing.T) {
 
 	if v := c.Value(); v != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", v, workers*perWorker)
-	}
-	if v := g.Value(); v != workers*perWorker {
-		t.Fatalf("gauge = %d, want %d", v, workers*perWorker)
 	}
 	st := h.stats()
 	if st.Count != workers*perWorker {
@@ -201,7 +193,7 @@ func TestWritePrometheus(t *testing.T) {
 	armed(t)
 	r := NewRegistry()
 	r.Counter("t_prom_total", "bus", "b").Add(3)
-	r.Gauge("t_prom_depth").Set(9)
+	r.GaugeFunc("t_prom_depth", func() float64 { return 9 })
 	h := r.Histogram("t_prom_ns")
 	h.Observe(100)
 	var b strings.Builder

@@ -13,6 +13,7 @@ cd "$(dirname "$0")/.."
 DOCS="README.md DESIGN.md ROADMAP.md
 internal/audit/doc.go internal/cep/doc.go internal/core/doc.go
 internal/policy/doc.go internal/sbus/doc.go internal/store/doc.go
+internal/pki/doc.go
 .claude/skills/verify/SKILL.md"
 
 # grep exits 2 when any listed file is missing, which would otherwise
@@ -79,6 +80,8 @@ check 'remains the synchronous path' \
     'audit.Log has one ingest path: every record stages and commits in ticket order (Log.Append is gone)'
 check 'stage-sample|SetStageSampling|stage_sample' \
     'stage attribution rides the sampled flow trace; `-trace-sample` is the one rate'
+check 're-encryption|web of trust' \
+    'internal/pki holds only the Ed25519 key pairs attest signs with; the CA, re-encryption and web of trust are gone'
 
 if [ "$fail" -eq 0 ]; then
     echo "docs-freshness: OK"
