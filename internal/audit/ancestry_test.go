@@ -13,10 +13,67 @@ import (
 	"lciot/internal/ifc"
 )
 
+// checkEdgeLocked asserts how the edge src -> dst of kind k is recorded:
+// with a data endpoint, it appears exactly once in that data node's own
+// list (out for a data source, in for a data destination); between two
+// non-data nodes, it is in the edge set. The caller holds g.mu.
+func checkEdgeLocked(t *testing.T, g *Graph, src, dst uint32, k uint8) {
+	t.Helper()
+	count := func(words []uint64, w uint64) (n int) {
+		for _, x := range words {
+			if x == w {
+				n++
+			}
+		}
+		return n
+	}
+	name := func(s uint32) string { return g.slots[s].id }
+	sd, dd := g.slots[src].kind == NodeData, g.slots[dst].kind == NodeData
+	if n := count(g.slots[src].out, pack(dst, k)); sd && n != 1 {
+		t.Fatalf("edge %s -> %s (kind %d) appears %d times in its data source's list", name(src), name(dst), k, n)
+	}
+	if n := count(g.slots[dst].in, pack(src, k)); dd && n != 1 {
+		t.Fatalf("edge %s -> %s (kind %d) appears %d times in its data destination's list", name(src), name(dst), k, n)
+	}
+	if _, ok := g.edges[edgeKey{src, dst, k}]; !sd && !dd && !ok {
+		t.Fatalf("edge %s -> %s (kind %d) between non-data nodes missing from the edge set", name(src), name(dst), k)
+	}
+}
+
+// checkEdgeWords checks the whole representation: every out word is
+// recorded as checkEdgeLocked says, Len's edge count is the number of
+// distinct words, and the set holds the non-data edges and nothing else —
+// a stale key would turn a later edge between reused slots into a
+// duplicate.
+func checkEdgeWords(t *testing.T, g *Graph) {
+	t.Helper()
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	distinct := map[edgeKey]bool{}
+	keyed := 0
+	for _, s := range g.index {
+		for _, w := range g.slots[s].out {
+			far, k := unpack(w)
+			checkEdgeLocked(t, g, s, far, k)
+			key := edgeKey{s, far, k}
+			if !distinct[key] && g.slots[s].kind != NodeData && g.slots[far].kind != NodeData {
+				keyed++
+			}
+			distinct[key] = true
+		}
+	}
+	if g.nedges != len(distinct) {
+		t.Fatalf("edge count %d, distinct adjacency words %d", g.nedges, len(distinct))
+	}
+	if len(g.edges) != keyed {
+		t.Fatalf("edge set holds %d keys, %d edges join two non-data nodes", len(g.edges), keyed)
+	}
+}
+
 // bruteReach recomputes a reachability set from scratch, bypassing the
 // memo and walkLocked — the reference the memoized path must match after
 // any interleaving of mutations and queries. It walks the slot adjacency
-// by node ID with a plain set, and checks each word against the edge set.
+// by node ID with a plain set, and checks how each word's edge is recorded.
 func bruteReach(t *testing.T, g *Graph, id string, outgoing bool) []string {
 	t.Helper()
 	g.mu.RLock()
@@ -34,12 +91,10 @@ func bruteReach(t *testing.T, g *Graph, id string, outgoing bool) []string {
 			}
 			for _, w := range adj {
 				far, k := unpack(w)
-				key := edgeKey{s, far, k}
-				if !outgoing {
-					key = edgeKey{far, s, k}
-				}
-				if _, ok := g.edges[key]; !ok {
-					t.Fatalf("adjacency word %s -> %s (kind %d) missing from the edge set", n, g.slots[far].id, k)
+				if outgoing {
+					checkEdgeLocked(t, g, s, far, k)
+				} else {
+					checkEdgeLocked(t, g, far, s, k)
 				}
 				other := g.slots[far].id
 				if seen[other] {
@@ -112,6 +167,7 @@ func TestAncestryMemoMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
+		checkEdgeWords(t, g)
 	}
 }
 

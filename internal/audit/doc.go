@@ -34,12 +34,15 @@
 // The graph is compact so that it can live on the message path. Node IDs
 // are interned into slots; each slot's adjacency is a list of packed
 // words (far slot << 8 | edge kind), which hold no pointers, so the
-// garbage collector never scans them. Edges form a set keyed by (source
-// slot, destination slot, kind): AddEdge and Append are idempotent, a
-// stream that repeats the same process pairs and agents adds one
-// wasInformedBy and one wasControlledBy edge per pair rather than per
-// message, and Len is O(1). Append builds a process node's attributes only
-// when it creates the node.
+// garbage collector never scans them. Edges form a set: AddEdge and
+// Append are idempotent, and a stream that repeats the same process pairs
+// and agents adds one wasInformedBy and one wasControlledBy edge per pair
+// rather than per message. An edge with a data endpoint is deduplicated
+// by scanning that datum's own list (data nodes have fan-out degree);
+// only edges between process and agent nodes are keyed by (source slot,
+// destination slot, kind) in a hash set, so a new datum adds no set
+// entries. An edge count kept beside them makes Len O(1). Append builds a
+// process node's attributes only when it creates the node.
 //
 // Graphs are built for querying: Ancestry and Descendants memoize each
 // node's reachability set, stamped with a graph epoch that advances only

@@ -3,6 +3,7 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -86,7 +87,10 @@ var ErrUnknownNode = errors.New("audit: unknown node")
 // is a list of packed words (far slot << 8 | edge kind). The lists hold no
 // pointers, so the garbage collector never scans them however large the
 // history grows. Edges form a set: adding an edge that is already present
-// changes nothing, so re-deriving the same flow is free.
+// changes nothing, so re-deriving the same flow is free. An edge with a
+// data endpoint is found by scanning that data node's own list (a datum
+// has fan-out degree); only edges between two process or agent nodes,
+// whose degree grows with the history, are kept in a hash set.
 //
 // Reachability queries (Ancestry, Descendants, and everything built on
 // them) are memoized: the first query for a node walks the graph, repeated
@@ -103,8 +107,10 @@ type Graph struct {
 	index map[string]uint32
 	slots []slot
 	free  []uint32
-	// edges is the edge set; its size is the edge count.
-	edges map[edgeKey]struct{}
+	// edges holds exactly the edges whose endpoints are both non-data
+	// nodes; nedges counts every edge.
+	edges  map[edgeKey]struct{}
+	nedges int
 	// epoch advances whenever the edge set changes; reachability memos are
 	// only valid while their stamped epoch matches.
 	epoch uint64
@@ -190,7 +196,36 @@ func (g *Graph) AddNode(n Node) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	s, _ := g.internLocked(n.ID, n.Kind)
-	g.slots[s].kind, g.slots[s].attrs = n.Kind, n.Attrs
+	sl := &g.slots[s]
+	wasData := sl.kind == NodeData
+	sl.kind, sl.attrs = n.Kind, n.Attrs
+	if wasData != (n.Kind == NodeData) {
+		g.rekeyLocked(s)
+	}
+}
+
+// rekeyLocked brings the edge set in line with slot s's kind after it
+// turned from data into non-data or back: s's edges to non-data nodes
+// (itself included) enter the set, or leave it. The caller holds g.mu.
+func (g *Graph) rekeyLocked(s uint32) {
+	keyed := g.slots[s].kind != NodeData
+	set := func(key edgeKey) {
+		if keyed {
+			g.edges[key] = struct{}{}
+		} else {
+			delete(g.edges, key)
+		}
+	}
+	for _, w := range g.slots[s].out {
+		if far, k := unpack(w); far == s || g.slots[far].kind != NodeData {
+			set(edgeKey{s, far, k})
+		}
+	}
+	for _, w := range g.slots[s].in {
+		if far, k := unpack(w); far == s || g.slots[far].kind != NodeData {
+			set(edgeKey{far, s, k})
+		}
+	}
 }
 
 // AddEdge inserts a directed edge; both endpoints must exist. The edges
@@ -214,17 +249,39 @@ func (g *Graph) AddEdge(e Edge) error {
 	return nil
 }
 
-// addEdgeLocked inserts the edge src -> dst unless it is already present.
-// The caller holds g.mu.
+// addEdgeLocked inserts the edge src -> dst unless it is already present:
+// a data endpoint's list is scanned (the shorter one when both are data),
+// any other edge is looked up in the set. The caller holds g.mu.
 func (g *Graph) addEdgeLocked(src, dst uint32, k uint8) {
-	key := edgeKey{src, dst, k}
-	if _, dup := g.edges[key]; dup {
-		return
+	s, d := &g.slots[src], &g.slots[dst]
+	switch {
+	case s.kind == NodeData && (d.kind != NodeData || len(s.out) <= len(d.in)):
+		if slices.Contains(s.out, pack(dst, k)) {
+			return
+		}
+	case d.kind == NodeData:
+		if slices.Contains(d.in, pack(src, k)) {
+			return
+		}
+	default:
+		key := edgeKey{src, dst, k}
+		if _, dup := g.edges[key]; dup {
+			return
+		}
+		g.edges[key] = struct{}{}
 	}
-	g.edges[key] = struct{}{}
-	g.slots[src].out = append(g.slots[src].out, pack(dst, k))
-	g.slots[dst].in = append(g.slots[dst].in, pack(src, k))
+	s.out = append(s.out, pack(dst, k))
+	d.in = append(d.in, pack(src, k))
+	g.nedges++
 	g.epoch++
+}
+
+// unkeyLocked removes the edge src -> dst from the set if the set holds
+// it. The caller holds g.mu.
+func (g *Graph) unkeyLocked(src, dst uint32, k uint8) {
+	if g.slots[src].kind != NodeData && g.slots[dst].kind != NodeData {
+		delete(g.edges, edgeKey{src, dst, k})
+	}
 }
 
 // RemoveNodes deletes the given nodes and every edge touching them — the
@@ -244,18 +301,25 @@ func (g *Graph) RemoveNodes(ids map[string]bool) int {
 	if len(dead) == 0 {
 		return 0
 	}
-	// Drop the dead nodes' edges from the set, and filter each surviving
-	// neighbour's word lists once, however many dead nodes it touched.
+	// Drop the dead nodes' edges from the set and the count, and filter
+	// each surviving neighbour's word lists once, however many dead nodes
+	// it touched. An edge whose source is dead is dropped through that
+	// source's out list, so an in word from a dead source (a self-loop, or
+	// an edge between two dead nodes) is not dropped twice.
 	touched := map[uint32]bool{}
 	for s := range dead {
 		for _, w := range g.slots[s].out {
 			far, k := unpack(w)
-			delete(g.edges, edgeKey{s, far, k})
+			g.unkeyLocked(s, far, k)
+			g.nedges--
 			touched[far] = true
 		}
 		for _, w := range g.slots[s].in {
 			far, k := unpack(w)
-			delete(g.edges, edgeKey{far, s, k})
+			if !dead[far] {
+				g.unkeyLocked(far, s, k)
+				g.nedges--
+			}
 			touched[far] = true
 		}
 	}
@@ -299,7 +363,7 @@ func (g *Graph) Node(id string) (Node, bool) {
 func (g *Graph) Len() (nodes, edges int) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.index), len(g.edges)
+	return len(g.index), g.nedges
 }
 
 // Ancestry returns every node reachable from id along outgoing edges — for

@@ -244,6 +244,7 @@ func checkGraph(t *testing.T, op int, g *Graph, m *graphModel) {
 	if n, e := g.Len(); n != len(m.nodes) || e != m.edgeCount() {
 		t.Fatalf("op %d: Len = %d, %d; model %d, %d", op, n, e, len(m.nodes), m.edgeCount())
 	}
+	checkEdgeWords(t, g)
 	for _, id := range modelIDs {
 		got, ok := g.Node(id)
 		want, wok := m.nodes[id]
@@ -313,6 +314,73 @@ func FuzzGraphOps(f *testing.F) {
 			return int(b) % n, true
 		}, 150)
 	})
+}
+
+// TestGraphLenAcrossKindFlipsAndRemovals pins the edge count, and every
+// other answer, where an edge moves between the edge set and the data
+// nodes' lists: a node turning from data into a process or back (with the
+// edge re-added, and a removed slot reused), two adjacent data nodes
+// removed together, and a data self-loop.
+func TestGraphLenAcrossKindFlipsAndRemovals(t *testing.T) {
+	type op func(g *Graph, m *graphModel)
+	node := func(id string, k NodeKind) op {
+		return func(g *Graph, m *graphModel) {
+			g.AddNode(Node{ID: id, Kind: k})
+			m.addNode(Node{ID: id, Kind: k})
+		}
+	}
+	edge := func(src, dst string) op {
+		return func(g *Graph, m *graphModel) {
+			e := Edge{Src: src, Dst: dst, Kind: EdgeDerivedFrom}
+			if err := g.AddEdge(e); err != nil {
+				t.Fatal(err)
+			}
+			m.addEdge(e)
+		}
+	}
+	remove := func(ids ...string) op {
+		return func(g *Graph, m *graphModel) {
+			set := map[string]bool{}
+			for _, id := range ids {
+				set[id] = true
+			}
+			if got, want := g.RemoveNodes(set), m.removeNodes(set); got != want {
+				t.Fatalf("RemoveNodes(%v) = %d, model %d", ids, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		ops  []op
+	}{
+		{"data to process, edge re-added", []op{
+			node("p0", NodeProcess), node("d0", NodeData), edge("p0", "d0"), edge("d0", "p0"),
+			node("d0", NodeProcess), edge("p0", "d0"), edge("d0", "p0"),
+		}},
+		{"process to data, slot reused", []op{
+			node("p0", NodeProcess), node("p1", NodeAgent), edge("p0", "p1"), edge("p1", "p0"),
+			node("p1", NodeData), edge("p0", "p1"), remove("p1"),
+			node("d0", NodeProcess), edge("p0", "d0"), edge("d0", "p0"),
+		}},
+		{"two adjacent data nodes removed", []op{
+			node("p0", NodeProcess), node("d0", NodeData), node("d1", NodeData),
+			edge("d0", "d1"), edge("d1", "d0"), edge("p0", "d0"), edge("d1", "p0"),
+			remove("d0", "d1"),
+		}},
+		{"data self-loop", []op{
+			node("d0", NodeData), edge("d0", "d0"), edge("d0", "d0"),
+			node("d0", NodeProcess), edge("d0", "d0"),
+			node("d0", NodeData), edge("d0", "d0"), remove("d0"),
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, m := &Graph{}, newGraphModel()
+			for i, o := range c.ops {
+				o(g, m)
+				checkGraph(t, i, g, m)
+			}
+		})
+	}
 }
 
 // TestAddEdgeRejectsUnpackableKind: an edge kind that does not fit an

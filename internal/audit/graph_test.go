@@ -336,8 +336,8 @@ func TestAppendCostPerMessage(t *testing.T) {
 		t.Fatalf("re-appending a known record allocates %.1f times", allocs)
 	}
 	// A record with a new datum over known processes and agent allocates
-	// only that datum's slot, index entry, two edge-set entries and two
-	// one-word adjacency lists, amortized; measured at 2 per record.
+	// only that datum's slot, index entry and two one-word adjacency
+	// lists, amortized: its two edges take no edge-set entries.
 	const runs = 1000
 	fresh := make([][]Record, runs+1)
 	for i := range fresh {

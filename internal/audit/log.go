@@ -3,7 +3,8 @@ package audit
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -302,11 +303,13 @@ func (l *Log) flushCondLocked() *sync.Cond {
 }
 
 // collectStaged swaps out every lane's staged buffer for an empty one,
-// wakes producers blocked on lane backpressure, and returns the batch
-// merged into arrival-ticket order — the order the chain will record.
-// Every lane's lock is held across the swap: a ticket is taken and staged
-// under one lane lock, so with all of them held every ticket issued so far
-// is in some buffer, and each batch is the next contiguous ticket range.
+// wakes producers blocked on lane backpressure, and returns the batch in
+// arrival-ticket order — the order the chain will record. Every lane's
+// lock is held across the swap: a ticket is taken and staged under one
+// lane lock, so with all of them held every ticket issued so far is in
+// some buffer, and each batch is the next contiguous ticket range
+// [lo, lo+n), lo being the smallest ticket at a lane's head. Each record
+// is copied straight to its place, batch[ticket-lo]; no sort is needed.
 // Swapping lane by lane could take a later ticket from one lane before an
 // earlier one landed in a lane already visited, and commit it first.
 func (l *Log) collectStaged() []staged {
@@ -317,17 +320,19 @@ func (l *Log) collectStaged() []staged {
 	for i := range lanes {
 		lanes[i].mu.Lock()
 	}
-	batch := l.batch[:0]
+	lo, n := uint64(math.MaxUint64), 0
 	for i := range lanes {
 		ln := &lanes[i]
 		if len(ln.buf) > 0 {
+			lo = min(lo, ln.buf[0].ticket)
+			n += len(ln.buf)
 			l.spare[i], ln.buf = ln.buf, l.spare[i][:0]
-			batch = append(batch, l.spare[i]...)
 			ln.condLocked().Broadcast() // release writers blocked on backpressure
+		} else {
+			l.spare[i] = l.spare[i][:0]
 		}
 	}
-	l.batch = batch
-	if len(batch) == 0 {
+	if n == 0 {
 		// Nothing is staged and no producer can stage until the locks are
 		// released, so this hasher stops here: a later append sees the flag
 		// clear and starts a new one, which owns spare and batch from then.
@@ -336,10 +341,29 @@ func (l *Log) collectStaged() []staged {
 	for i := range lanes {
 		lanes[i].mu.Unlock()
 	}
-	// Each lane's contribution is already ticket-sorted (tickets are taken
-	// under the lane lock), so this is a k-way merge; sort.Slice keeps it
-	// simple and the batch is bounded by lanes x maxPending.
-	sort.Slice(batch, func(i, j int) bool { return batch[i].ticket < batch[j].ticket })
+	if n == 0 {
+		return nil // spare and batch may already belong to the next hasher
+	}
+	return l.placeStaged(lo, n)
+}
+
+// placeStaged copies the n records in the swapped-out lane buffers
+// (l.spare) into l.batch at their ticket offset from lo. Tickets are
+// distinct, so a gap in the range pushes some ticket past lo+n; that is a
+// lost record, and placing around it would commit a zero Record in its
+// place, so it panics instead.
+func (l *Log) placeStaged(lo uint64, n int) []staged {
+	l.batch = slices.Grow(l.batch[:0], n)
+	batch := l.batch[:n]
+	for _, buf := range l.spare {
+		for i := range buf {
+			at := buf[i].ticket - lo
+			if at >= uint64(n) {
+				panic(fmt.Sprintf("audit: staged ticket %d outside the batch range [%d, %d)", buf[i].ticket, lo, lo+uint64(n)))
+			}
+			batch[at] = buf[i]
+		}
+	}
 	return batch
 }
 

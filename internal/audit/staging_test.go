@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -132,4 +133,47 @@ func TestAppendAsyncZeroValueLog(t *testing.T) {
 	if got := l.Len(); got != 10 {
 		t.Fatalf("log has %d records, want 10", got)
 	}
+}
+
+// TestCollectStagedPanicsOnTicketGap: the hasher places each staged
+// record at its ticket's offset in the batch, so a lane set whose tickets
+// do not form one contiguous range (a lost record) must stop the hasher
+// with the range named rather than commit a zero Record in the hole.
+func TestCollectStagedPanicsOnTicketGap(t *testing.T) {
+	l := NewLog(nil)
+	l.SetStagingLanes(2)
+	lanes := *l.getLanes()
+	lanes[0].buf = []staged{{ticket: 3}, {ticket: 4}}
+	lanes[1].buf = []staged{{ticket: 6}}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "[3, 6)") || !strings.Contains(msg, "ticket 6") {
+			t.Fatalf("collectStaged over tickets {3, 4, 6}: panic %q, want the range [3, 6) and ticket 6 named", msg)
+		}
+	}()
+	l.collectStaged()
+}
+
+// TestCollectStagedPlacesByTicket: interleaved lanes come back as one
+// batch in ticket order, and a lane left empty contributes nothing from
+// the buffer it handed back at the previous collection.
+func TestCollectStagedPlacesByTicket(t *testing.T) {
+	l := NewLog(nil)
+	l.SetStagingLanes(3)
+	lanes := *l.getLanes()
+	lanes[0].buf = []staged{{ticket: 1}, {ticket: 4}}
+	lanes[1].buf = []staged{{ticket: 2}, {ticket: 3}, {ticket: 5}}
+	check := func(batch []staged, want ...uint64) {
+		t.Helper()
+		got := make([]uint64, len(batch))
+		for i := range batch {
+			got[i] = batch[i].ticket
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("batch tickets %v, want %v", got, want)
+		}
+	}
+	check(l.collectStaged(), 1, 2, 3, 4, 5)
+	lanes[2].buf = append(lanes[2].buf, staged{ticket: 6})
+	check(l.collectStaged(), 6)
 }

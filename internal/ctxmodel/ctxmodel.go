@@ -127,10 +127,7 @@ type Store struct {
 
 // NewStore builds a store; nil clock means time.Now.
 func NewStore(clock func() time.Time) *Store {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &Store{values: make(map[string]Value), now: clock}
+	return &Store{now: clock}
 }
 
 // AddHook registers a synchronous change observer, invoked on the Set
@@ -148,6 +145,9 @@ func (s *Store) AddHook(fn func(Change)) {
 func (s *Store) Set(key string, v Value) uint64 {
 	s.mu.Lock()
 	old, had := s.values[key]
+	if s.values == nil {
+		s.values = make(map[string]Value)
+	}
 	s.values[key] = v
 	s.version++
 	ver := s.version
@@ -207,7 +207,15 @@ func (s *Store) Snapshot() Snapshot {
 	for k, v := range s.values {
 		cp[k] = v
 	}
-	return Snapshot{values: cp, Version: s.version, At: s.now()}
+	return Snapshot{values: cp, Version: s.version, At: s.clock()}
+}
+
+// clock returns the store's time source (zero-value stores use time.Now).
+func (s *Store) clock() time.Time {
+	if s.now == nil {
+		return time.Now()
+	}
+	return s.now()
 }
 
 // MakeSnapshot builds a snapshot directly from a map; used by tests and by

@@ -64,6 +64,30 @@ func TestStoreSetGetDelete(t *testing.T) {
 	}
 }
 
+// TestStoreZeroValueReady: a Store declared without NewStore accepts
+// every call, and its snapshots are stamped with the current time.
+func TestStoreZeroValueReady(t *testing.T) {
+	var s Store
+	if _, ok := s.Get("location"); ok {
+		t.Fatal("empty store has a value")
+	}
+	s.Delete("location")
+	if v := s.Set("location", String("home")); v != 2 {
+		t.Fatalf("Set after one Delete returned version %d, want 2", v)
+	}
+	before := time.Now()
+	snap := s.Snapshot()
+	if got, ok := snap.Get("location"); !ok || got.Str != "home" {
+		t.Fatalf("snapshot location = %v, %v", got, ok)
+	}
+	if snap.At.Before(before) || snap.At.After(time.Now()) {
+		t.Fatalf("snapshot stamped %v, want the current time", snap.At)
+	}
+	if n := s.DeleteMatching(func(string) bool { return true }); n != 1 {
+		t.Fatalf("DeleteMatching dropped %d, want 1", n)
+	}
+}
+
 func TestSnapshotIsolation(t *testing.T) {
 	clock := time.Unix(5000, 0)
 	s := NewStore(func() time.Time { return clock })

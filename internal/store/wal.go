@@ -98,12 +98,17 @@ type WAL struct {
 	pinMin      uint64
 	pinMinStale bool
 
-	// pendMu guards the pending batch and the commit watermark.
+	// pendMu guards the pending batch, its spare and the commit watermark.
 	pendMu   sync.Mutex
 	pendCond *sync.Cond
 	pending  []byte // encoded frames awaiting commit
 	pendN    int    // records in pending
-	nextSeq  uint64 // next sequence number to assign
+	// spare is the empty buffer the committer swaps in for pending: the
+	// last committed batch, handed back, so group commit reuses two
+	// buffers instead of regrowing one per batch. Both outlive the
+	// committer goroutine.
+	spare   []byte
+	nextSeq uint64 // next sequence number to assign
 	// enqueued/completed count records over the WAL's lifetime; Sync waits
 	// for completed to reach enqueued-as-of-the-call.
 	enqueued  uint64
@@ -124,7 +129,9 @@ type WAL struct {
 
 // maxPendingBytes bounds the in-memory batch; appenders beyond it block
 // until the committer catches up (backpressure rather than unbounded
-// memory).
+// memory). A committed batch whose capacity exceeds twice the bound (one
+// outsized frame) is dropped rather than kept as the spare, so a WAL
+// holds at most about two bounded buffers.
 const maxPendingBytes = 8 << 20
 
 // Open opens (creating if necessary) a WAL in dir, replaying existing
@@ -365,22 +372,23 @@ func (w *WAL) Sync() error {
 	return w.err
 }
 
-// drain is the committer: it repeatedly swaps out the pending batch and
-// commits it with one write and one fsync, then exits once the batch
-// stays empty.
+// drain is the committer: it repeatedly swaps the pending batch for the
+// spare buffer and commits it with one write and one fsync, hands the
+// committed buffer back as the next spare, and exits once the batch stays
+// empty.
 func (w *WAL) drain() {
 	for {
 		w.pendMu.Lock()
 		batch, n := w.pending, w.pendN
 		batchEnd := w.nextSeq
 		sticky := w.err
-		w.pending, w.pendN = nil, 0
 		if n == 0 {
 			w.draining = false
 			w.pendCond.Broadcast()
 			w.pendMu.Unlock()
 			return
 		}
+		w.pending, w.spare, w.pendN = w.spare, nil, 0
 		w.pendCond.Broadcast() // release writers blocked on backpressure
 		w.pendMu.Unlock()
 
@@ -400,6 +408,9 @@ func (w *WAL) drain() {
 		w.completed += uint64(n)
 		if err == nil {
 			w.durableSeq = batchEnd
+		}
+		if cap(batch) <= 2*maxPendingBytes {
+			w.spare = batch[:0]
 		}
 		w.pendCond.Broadcast()
 		w.pendMu.Unlock()

@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -617,5 +619,145 @@ func TestWALConcurrentReadsBesideAppends(t *testing.T) {
 	}
 	if got := collect(t, w, 0, 0); len(got) != n {
 		t.Fatalf("read %d entries, want %d", len(got), n)
+	}
+}
+
+// TestWALCommitBuffersReused: group commit swaps two buffers instead of
+// growing a fresh one per batch, so once both have grown to the largest
+// batch the committer sees, a run of appends allocates less than the
+// payload bytes it carries. How large a batch gets depends on scheduling,
+// so runs repeat (the first is the warm-up) until one finds the buffers
+// grown, at most five; a WAL that regrows per batch allocates more than
+// the payload on every run.
+func TestWALCommitBuffersReused(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	payload := bytes.Repeat([]byte("p"), 200)
+	const n, runs = 100_000, 5
+	carried := uint64(n * len(payload))
+	var grew []uint64
+	for r := 0; r < runs; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, err := w.Append(time.Unix(int64(i), 0), payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if r > 0 && after.TotalAlloc-before.TotalAlloc < carried {
+			return
+		}
+		grew = append(grew, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Fatalf("runs of %d appends of %d B allocated %v B, want one under the %d payload bytes", n, len(payload), grew, carried)
+}
+
+// TestWALCommitBuffersSurviveDrainExits runs concurrent appenders in
+// bursts, waiting between bursts until the committer goroutine has
+// exited, so every burst starts a fresh committer on the buffers the last
+// one left. Every frame must read back byte-exact.
+func TestWALCommitBuffersSurviveDrainExits(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{SegmentBytes: 256 << 10, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	const (
+		bursts     = 20
+		goroutines = 4
+		perBurst   = 50
+	)
+	payload := func(g, i int) []byte {
+		return bytes.Repeat([]byte(fmt.Sprintf("g%d.%d|", g, i)), 1+(g*7+i*13)%400)
+	}
+	type sent struct {
+		seq  uint64
+		g, i int
+	}
+	sents := make([][]sent, goroutines)
+	for b := 0; b < bursts; b++ {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := b * perBurst; i < (b+1)*perBurst; i++ {
+					seq, err := w.Append(time.Unix(int64(i), int64(g)), payload(g, i))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					sents[g] = append(sents[g], sent{seq, g, i})
+				}
+			}(g)
+		}
+		wg.Wait()
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			w.pendMu.Lock()
+			idle := !w.draining
+			w.pendMu.Unlock()
+			if idle {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("committer still running 5 s after Sync")
+			}
+		}
+	}
+	want := make(map[uint64]sent)
+	for _, ss := range sents {
+		for _, s := range ss {
+			want[s.seq] = s
+		}
+	}
+	got := collect(t, w, 0, 0)
+	if len(got) != len(want) || len(got) != bursts*goroutines*perBurst {
+		t.Fatalf("read %d entries, appended %d", len(got), len(want))
+	}
+	for _, e := range got {
+		s, ok := want[e.Seq]
+		if !ok || !bytes.Equal(e.Payload, payload(s.g, s.i)) || !e.Time.Equal(time.Unix(int64(s.i), int64(s.g))) {
+			t.Fatalf("seq %d read back as %d bytes at %v; appended by g%d as record %d", e.Seq, len(e.Payload), e.Time, s.g, s.i)
+		}
+	}
+}
+
+// TestWALOutsizedFrameLeavesNoOutsizedSpare: a batch grown past twice the
+// pending bound by one outsized frame is dropped after its commit rather
+// than kept for reuse.
+func TestWALOutsizedFrameLeavesNoOutsizedSpare(t *testing.T) {
+	w, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	big := bytes.Repeat([]byte("B"), maxPayload) // the largest readable frame, over 2×maxPendingBytes
+	for _, p := range [][]byte{[]byte("before"), big, []byte("after")} {
+		if _, err := w.Append(time.Time{}, p); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.pendMu.Lock()
+	spare, pending := cap(w.spare), cap(w.pending)
+	w.pendMu.Unlock()
+	if spare > 2*maxPendingBytes || pending > 2*maxPendingBytes {
+		t.Fatalf("after an outsized frame the WAL keeps buffers of %d and %d B, bound %d", spare, pending, 2*maxPendingBytes)
+	}
+	got := collect(t, w, 0, 0)
+	if len(got) != 3 || string(got[0].Payload) != "before" || !bytes.Equal(got[1].Payload, big) || string(got[2].Payload) != "after" {
+		t.Fatalf("read back %d entries around the outsized frame", len(got))
 	}
 }
