@@ -88,7 +88,7 @@ func run() error {
 
 	// --- Fig. 5: the Device Input Sanitiser (an endorser) ---
 	sanitiser, err := bus.Register("sanitiser", "hospital", zebRawCtx,
-		nil, // handler set below: re-publishes in the clean context
+		nil, // no handler: the endorsement below is a context change
 		lciot.EndpointSpec{Name: "in", Dir: lciot.Sink, Schema: vitals},
 		lciot.EndpointSpec{Name: "out", Dir: lciot.Source, Schema: vitals})
 	if err != nil {

@@ -263,7 +263,10 @@ func TestIntegrationDistributedAuditCollection(t *testing.T) {
 		thing.AppendAsync(audit.Record{Kind: audit.FlowAllowed, Src: "s", Dst: "d", DataID: "x"})
 	}
 	// The thing offloads and prunes its first 15 records.
-	segment := thing.Prune(15)
+	segment := thing.Select(func(r audit.Record) bool { return r.Seq < 15 })
+	if n := thing.Prune(15); n != 15 || len(segment) != 15 {
+		t.Fatalf("pruned %d records (segment %d), want 15", n, len(segment))
+	}
 	if err := audit.VerifySegment(segment, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,9 @@ func TestPrunedSegmentExportImportVerify(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		l.AppendAsync(flowRecord("a", "b", i%2 == 0))
 	}
-	segment := l.Prune(4)
-	if len(segment) != 4 {
-		t.Fatalf("pruned %d records", len(segment))
+	segment := l.Select(func(r Record) bool { return r.Seq < 4 })
+	if n := l.Prune(4); n != 4 || len(segment) != 4 {
+		t.Fatalf("pruned %d records (segment %d)", n, len(segment))
 	}
 
 	data, err := ExportJSONRecords(segment)

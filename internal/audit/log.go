@@ -584,23 +584,22 @@ func (l *Log) RedactMany(seqs []uint64, note string) int {
 	return n
 }
 
-// Prune discards records with Seq < upto, returning the discarded segment
-// for offload. The chain head remains verifiable because the first retained
-// record still carries the hash of the last pruned one.
-func (l *Log) Prune(upto uint64) []Record {
+// Prune discards records with Seq < upto and returns how many it dropped.
+// It copies nothing out: a caller that offloads the range reads it first
+// (Select, Get, or the durable store that already holds it). The chain
+// head remains verifiable because the first retained record still carries
+// the hash of the last pruned one.
+func (l *Log) Prune(upto uint64) int {
 	l.Flush()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if upto <= l.firstSeq {
-		return nil
+		return 0
 	}
 	if upto > l.nextSeq {
 		upto = l.nextSeq
 	}
-	segment := make([]Record, 0, upto-l.firstSeq)
-	for seq := l.firstSeq; seq < upto; seq++ {
-		segment = append(segment, *l.at(seq))
-	}
+	n := int(upto - l.firstSeq)
 	// Release every chunk wholly below upto, and the pruned records in the
 	// chunk that is now first.
 	drop := (upto - l.base) / chunkLen
@@ -611,7 +610,7 @@ func (l *Log) Prune(upto uint64) []Record {
 		clear(l.chunks[0][:upto-l.base])
 	}
 	l.firstSeq = upto
-	return segment
+	return n
 }
 
 // VerifySegment checks an offloaded segment against itself (VerifyRecord

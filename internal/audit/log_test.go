@@ -161,9 +161,10 @@ func TestLogPruneAndOffload(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.AppendAsync(flowRecord("a", "b", true))
 	}
-	segment := l.Prune(6)
-	if len(segment) != 6 {
-		t.Fatalf("pruned %d records, want 6", len(segment))
+	// Offload reads the segment before pruning it.
+	segment := l.Select(func(r Record) bool { return r.Seq < 6 })
+	if n := l.Prune(6); n != 6 || len(segment) != 6 {
+		t.Fatalf("pruned %d records (segment %d), want 6", n, len(segment))
 	}
 	if l.Len() != 4 {
 		t.Fatalf("retained %d records, want 4", l.Len())
@@ -189,19 +190,19 @@ func TestLogPruneAndOffload(t *testing.T) {
 	if err := VerifySegment(segment, &first); !errors.Is(err, ErrChainBroken) {
 		t.Fatalf("tampered segment = %v, want ErrChainBroken", err)
 	}
-	// Pruning nothing returns nil.
-	if seg := l.Prune(2); seg != nil {
-		t.Fatalf("redundant prune returned %d records", len(seg))
+	// Pruning nothing drops nothing.
+	if n := l.Prune(2); n != 0 {
+		t.Fatalf("redundant prune dropped %d records", n)
 	}
 	// Pruning beyond the head clamps.
-	if seg := l.Prune(1000); len(seg) != 4 {
-		t.Fatalf("clamped prune returned %d records, want 4", len(seg))
+	if n := l.Prune(1000); n != 4 || l.Len() != 0 {
+		t.Fatalf("clamped prune dropped %d records (%d left), want 4", n, l.Len())
 	}
 }
 
 // TestLogPruneAcrossChunks prunes a log spanning several record chunks —
 // mid-chunk, on a chunk boundary, and down to empty — checking after each
-// cut that the segment is exactly the pruned range, the retained records
+// cut that it dropped exactly the range read out before it, the retained records
 // answer Get/Select/Redact by seq, the chain verifies across the boundary,
 // and appending continues it.
 func TestLogPruneAcrossChunks(t *testing.T) {
@@ -214,9 +215,12 @@ func TestLogPruneAcrossChunks(t *testing.T) {
 	stage(3*chunkLen + 17)
 	first := uint64(0)
 	for _, upto := range []uint64{100, chunkLen, 2*chunkLen + 5, 3*chunkLen + 17} {
-		seg := l.Prune(upto)
+		seg := l.Select(func(r Record) bool { return r.Seq < upto })
+		if n := l.Prune(upto); uint64(n) != upto-first {
+			t.Fatalf("Prune(%d) dropped %d records, want %d", upto, n, upto-first)
+		}
 		if uint64(len(seg)) != upto-first || seg[0].Seq != first || seg[len(seg)-1].Seq != upto-1 {
-			t.Fatalf("Prune(%d) returned %d records from %d", upto, len(seg), seg[0].Seq)
+			t.Fatalf("before Prune(%d) Select read %d records from %d", upto, len(seg), seg[0].Seq)
 		}
 		if err := VerifySegment(seg, nil); err != nil {
 			t.Fatalf("Prune(%d) segment: %v", upto, err)
@@ -261,7 +265,8 @@ func TestVerifySegmentBreaks(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		l.AppendAsync(flowRecord("a", "b", true))
 	}
-	seg := l.Prune(4)
+	seg := l.Select(nil)
+	l.Prune(4)
 	// Break internal linkage.
 	seg[2].PrevHash = [32]byte{0xff}
 	if err := VerifySegment(seg, nil); !errors.Is(err, ErrChainBroken) {

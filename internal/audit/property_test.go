@@ -77,7 +77,10 @@ func TestPropertyPruneKeepsVerifiability(t *testing.T) {
 		for i := 0; i < n; i++ {
 			l.AppendAsync(randomRecord(r))
 		}
-		segment := l.Prune(cut)
+		segment := l.Select(func(r Record) bool { return r.Seq < cut })
+		if l.Prune(cut) != len(segment) || uint64(len(segment)) != cut {
+			return false
+		}
 		if err := VerifySegment(segment, nil); err != nil {
 			return false
 		}

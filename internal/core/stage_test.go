@@ -84,8 +84,12 @@ func TestStageClockTelescopesAcrossRelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The collector keeps the clock it was delivered: publish stamps the
+	// trace on the copy it delivers, not on the publisher's message.
+	var clk *telemetry.StageClock
 	if _, err := d.Bus().Register("collector", "hospital", annCtx(),
 		func(m *msg.Message, _ sbus.Delivery) {
+			clk = m.Trace.Clock
 			d.FeedEvent(cep.Event{
 				Type: "vitals", Source: "relay-probe",
 				Time: clock.Now(), Value: 1, Stage: m.Trace.Clock,
@@ -107,8 +111,11 @@ func TestStageClockTelescopesAcrossRelay(t *testing.T) {
 	if _, err := dev.Publish("out", m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Trace.Clock == nil {
-		t.Fatal("publish at trace sampling 1 left no clock on the message")
+	if clk == nil {
+		t.Fatal("publish at trace sampling 1 delivered no clock")
+	}
+	if !m.Trace.IsZero() {
+		t.Fatalf("publish stamped trace %+v on the publisher's message", m.Trace)
 	}
 	// Single-shard delivery runs inline, so detection and the policy
 	// decision happened inside Publish; only the audit commit is async.
@@ -133,7 +140,7 @@ func TestStageClockTelescopesAcrossRelay(t *testing.T) {
 		}
 		total += sumsAfter[name] - sumsBefore[name]
 	}
-	want := uint64(m.Trace.Clock.LastNs() - m.Trace.Clock.ArmNs())
+	want := uint64(clk.LastNs() - clk.ArmNs())
 	if total != want {
 		t.Fatalf("edge sums total %dns, want exactly end-to-end %dns (last-arm)", total, want)
 	}

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -36,9 +37,12 @@ type Reading struct {
 	Seq uint64
 }
 
-// DataID derives a stable provenance identifier.
+// DataID derives a stable provenance identifier, "device/metric/seq".
 func (r Reading) DataID() string {
-	return fmt.Sprintf("%s/%s/%d", r.DeviceID, r.Metric, r.Seq)
+	// The digits go to a stack buffer; the concatenation is the one
+	// allocation (a string(bytes) operand of + is not copied first).
+	var digits [20]byte
+	return r.DeviceID + "/" + r.Metric + "/" + string(strconv.AppendUint(digits[:0], r.Seq, 10))
 }
 
 // A VitalsSensor generates heart-rate readings: a stable baseline with

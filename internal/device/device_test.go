@@ -2,6 +2,8 @@ package device
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -153,5 +155,29 @@ func TestRegistry(t *testing.T) {
 	ids := r.Actuators()
 	if len(ids) != 2 || ids[0] != "a" {
 		t.Fatalf("Actuators = %v", ids)
+	}
+}
+
+// TestReadingDataIDMatchesFormat pins DataID to the "%s/%s/%d" form it
+// replaced, at the edges: empty device or metric, seq 0 and the largest
+// seq; and checks that building it costs one allocation.
+func TestReadingDataIDMatchesFormat(t *testing.T) {
+	cases := []Reading{
+		{DeviceID: "ann-sensor", Metric: "heart-rate", Seq: 42},
+		{DeviceID: "", Metric: "heart-rate", Seq: 7},
+		{DeviceID: "ann-sensor", Metric: "", Seq: 7},
+		{},
+		{DeviceID: "d", Metric: "m", Seq: 0},
+		{DeviceID: "d", Metric: "m", Seq: math.MaxUint64},
+		{DeviceID: "a/b", Metric: "c d", Seq: 1 << 32},
+	}
+	for _, r := range cases {
+		if got, want := r.DataID(), fmt.Sprintf("%s/%s/%d", r.DeviceID, r.Metric, r.Seq); got != want {
+			t.Errorf("DataID(%+v) = %q, want %q", r, got, want)
+		}
+	}
+	r := Reading{DeviceID: "ann-sensor", Metric: "heart-rate", Seq: math.MaxUint64}
+	if n := testing.AllocsPerRun(100, func() { _ = r.DataID() }); n > 1 {
+		t.Errorf("DataID allocates %.0f times, want 1", n)
 	}
 }

@@ -9,6 +9,7 @@ package msg
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"lciot/internal/ifc"
@@ -66,6 +67,9 @@ type Schema struct {
 	Fields  []Field
 
 	index map[string]int
+	// tagged holds the indices of the fields with attribute-level secrecy
+	// tags: the only fields Quench can ever remove.
+	tagged []int
 }
 
 // Errors reported by schema operations.
@@ -90,6 +94,9 @@ func NewSchema(name string, secrecy ifc.Label, fields ...Field) (*Schema, error)
 			return nil, fmt.Errorf("msg: schema %q: duplicate field %q", name, f.Name)
 		}
 		s.index[f.Name] = i
+		if !f.Secrecy.IsEmpty() {
+			s.tagged = append(s.tagged, i)
+		}
 	}
 	return s, nil
 }
@@ -184,13 +191,13 @@ type Message struct {
 	Attrs map[string]Value
 	// DataID optionally identifies the datum for provenance tracking.
 	DataID string
-	// Trace is the flow-tracing context stamped at publish (zero when the
-	// flow is unsampled), with the stage clock a sampled publish arms. It
-	// is message metadata, not payload: the wire codecs in this file do
-	// not carry it — the link protocol moves ID, hop and the clock's
-	// egress time in its frame trailer (sbus/wire.go). Clones share the
-	// clock by pointer, so edge marks telescope across quench copies and
-	// relay republishes.
+	// Trace is the flow-tracing context a sampled publish stamps on the
+	// copy it delivers (zero when the flow is unsampled), with the stage
+	// clock that publish arms. It is message metadata, not payload: the
+	// wire codecs in this file do not carry it — the link protocol moves
+	// ID, hop and the clock's egress time in its frame trailer
+	// (sbus/wire.go). Copies share the clock by pointer, so edge marks
+	// telescope across quench copies and relay republishes.
 	Trace telemetry.TraceContext
 }
 
@@ -216,7 +223,8 @@ func (m *Message) FieldNames() []string {
 	return sortedFieldNames(make([]string, 0, len(m.Attrs)), m)
 }
 
-// Clone returns a deep copy; quenching mutates copies, never originals.
+// Clone returns a deep copy. A handler that edits a delivered message
+// clones it first: deliveries share one read-only message.
 func (m *Message) Clone() *Message {
 	cp := &Message{Type: m.Type, DataID: m.DataID, Trace: m.Trace, Attrs: make(map[string]Value, len(m.Attrs))}
 	for k, v := range m.Attrs {
@@ -256,27 +264,35 @@ func (s *Schema) Validate(m *Message) error {
 	return nil
 }
 
-// Quench returns a copy of the message with every attribute removed whose
-// message-layer secrecy tags are not covered by the receiver's clearance
-// (Section 8.2.2: "messages/attribute values are not transferred if the
-// tags of each party do not accord"). It reports which attributes were
-// quenched. Required fields are quenched like any other: the receiver then
-// fails validation, which is exactly the intent — it must not see the
-// message at all.
+// Quench removes every attribute whose message-layer secrecy tags are not
+// covered by the receiver's clearance (Section 8.2.2: "messages/attribute
+// values are not transferred if the tags of each party do not accord") and
+// reports, sorted, which attributes it removed. Only attribute-tagged
+// fields are examined. When none of the uncovered ones is present, m
+// itself is returned with a nil list; otherwise the result is a new
+// message without them that shares the surviving values with m. Either
+// way m is left unchanged, and the result is read-only like m. Required
+// fields are quenched like any other: the receiver then fails validation,
+// which is exactly the intent — it must not see the message at all.
 func (s *Schema) Quench(m *Message, clearance ifc.Label) (*Message, []string) {
 	var quenched []string
-	out := m.Clone()
-	for name := range out.Attrs {
-		f, ok := s.Field(name)
-		if !ok {
-			continue // Validate catches this separately
-		}
-		if !f.Secrecy.Subset(clearance) {
-			delete(out.Attrs, name)
-			quenched = append(quenched, name)
+	for _, i := range s.tagged {
+		f := &s.Fields[i]
+		if _, ok := m.Attrs[f.Name]; ok && !f.Secrecy.Subset(clearance) {
+			quenched = append(quenched, f.Name)
 		}
 	}
+	if quenched == nil {
+		return m, nil
+	}
 	sort.Strings(quenched)
+	out := &Message{Type: m.Type, DataID: m.DataID, Trace: m.Trace,
+		Attrs: make(map[string]Value, len(m.Attrs)-len(quenched))}
+	for k, v := range m.Attrs {
+		if !slices.Contains(quenched, k) {
+			out.Attrs[k] = v
+		}
+	}
 	return out, quenched
 }
 

@@ -1,7 +1,9 @@
 package msg
 
 import (
+	"bytes"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -21,23 +23,37 @@ func genTagLabel(r *rand.Rand) ifc.Label {
 	return l
 }
 
-// TestPropertyQuenchExact: quenching removes exactly the attributes whose
-// secrecy is not covered by the clearance, never mutates the original, and
-// the survivors are byte-identical.
+// TestPropertyQuenchExact: quenching removes exactly the present
+// attributes whose secrecy is not covered by the clearance, in sorted
+// order; it returns the message itself when it removes nothing (also when
+// an uncovered field is merely absent) and a new message otherwise; it
+// never changes the input's encoding; and the survivors are identical.
 func TestPropertyQuenchExact(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		nFields := r.Intn(6) + 1
 		fields := make([]Field, 0, nFields)
 		m := New("t")
+		m.DataID = "datum"
 		for i := 0; i < nFields; i++ {
 			name := string(rune('a' + i))
+			typ := TInt
+			if i%2 == 1 {
+				typ = TBytes
+			}
 			fields = append(fields, Field{
 				Name:    name,
-				Type:    TInt,
+				Type:    typ,
 				Secrecy: genTagLabel(r),
 			})
-			m.Set(name, Int(int64(i)))
+			if r.Intn(4) == 0 {
+				continue // absent from this message
+			}
+			if typ == TBytes {
+				m.Set(name, Bytes([]byte{byte(i), 'x'}))
+			} else {
+				m.Set(name, Int(int64(i)))
+			}
 		}
 		schema, err := NewSchema("t", ifc.EmptyLabel, fields...)
 		if err != nil {
@@ -45,11 +61,22 @@ func TestPropertyQuenchExact(t *testing.T) {
 		}
 		clearance := genTagLabel(r)
 
-		before := m.Clone()
+		before, err := EncodeBinary(m)
+		if err != nil {
+			return false
+		}
 		out, quenched := schema.Quench(m, clearance)
 
-		// Original untouched.
-		if len(m.Attrs) != len(before.Attrs) {
+		// Input unchanged, byte for byte.
+		after, err := EncodeBinary(m)
+		if err != nil || !bytes.Equal(before, after) {
+			return false
+		}
+		if !sort.StringsAreSorted(quenched) {
+			return false
+		}
+		// Identity exactly when nothing was removed.
+		if (out == m) != (len(quenched) == 0) || (len(quenched) == 0 && quenched != nil) {
 			return false
 		}
 		quenchedSet := map[string]bool{}
@@ -58,22 +85,19 @@ func TestPropertyQuenchExact(t *testing.T) {
 		}
 		for _, fld := range fields {
 			covered := fld.Secrecy.Subset(clearance)
-			_, present := out.Get(fld.Name)
-			if covered != present {
+			mv, inInput := m.Get(fld.Name)
+			ov, present := out.Get(fld.Name)
+			if present != (inInput && covered) {
 				return false // survivor set wrong
 			}
-			if quenchedSet[fld.Name] == covered {
+			if quenchedSet[fld.Name] != (inInput && !covered) {
 				return false // quench list inconsistent with coverage
 			}
-			if present {
-				ov, _ := out.Get(fld.Name)
-				mv, _ := m.Get(fld.Name)
-				if !ov.Equal(mv) {
-					return false
-				}
+			if present && !ov.Equal(mv) {
+				return false
 			}
 		}
-		return true
+		return out.Type == m.Type && out.DataID == m.DataID
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error("quench not exact:", err)

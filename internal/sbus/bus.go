@@ -629,9 +629,14 @@ func (b *Bus) publish(c *Component, endpoint string, m *msg.Message) (int, error
 	// trace; one that already carries a trace — relayed off a link ingress
 	// or re-published by a local component — keeps it, so a federated path
 	// stays one trace and its stage edges telescope across the whole path.
+	// A sampled publish stamps the trace on a shallow copy (attributes
+	// shared), never on the caller's message: that may be a delivery other
+	// sinks are reading concurrently.
 	if m.Trace.IsZero() {
 		if tc, ok := telemetry.StartTrace(); ok {
-			m.Trace = tc
+			cp := *m
+			cp.Trace = tc
+			m = &cp
 			telemetry.RecordSpan(tc, b.name, "publish", c.Name()+"."+endpoint, "", "")
 		}
 	} else {

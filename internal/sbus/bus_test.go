@@ -577,16 +577,33 @@ func TestFig10MessageLayerTags(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("delivered = %d, want 2", n)
 	}
-	fm, _ := full.last()
-	if v, ok := fm.Get("name"); !ok || v.Str != "ann" {
-		t.Fatal("fully cleared receiver lost the name")
+	// The cleared receiver shares the publisher's message; the partially
+	// cleared one gets a copy without the tagged attribute, and the
+	// publisher's message keeps it.
+	fm, fd := full.last()
+	if fm != m || len(fd.Quenched) != 0 {
+		t.Fatalf("fully cleared receiver: shared %v, quenched %v", fm == m, fd.Quenched)
 	}
 	pm, pd := partial.last()
 	if _, ok := pm.Get("name"); ok {
 		t.Fatal("partially cleared receiver saw the sensitive attribute")
 	}
+	if v, ok := pm.Get("country"); !ok || v.Str != "uk" {
+		t.Fatal("partially cleared receiver lost an untagged attribute")
+	}
 	if len(pd.Quenched) != 1 || pd.Quenched[0] != "name" {
 		t.Fatalf("quenched = %v", pd.Quenched)
+	}
+	if v, ok := m.Get("name"); !ok || v.Str != "ann" {
+		t.Fatal("quenching removed the attribute from the publisher's message")
+	}
+	// The audit trail names the quenched attribute.
+	partialComp, _ := bus.Component("analyser-partial")
+	notes := bus.Log().Select(func(r audit.Record) bool {
+		return r.Kind == audit.FlowAllowed && r.Dst == partialComp.Entity().ID()
+	})
+	if len(notes) != 1 || notes[0].Note != "delivered with quenched attributes: name" {
+		t.Fatalf("partial delivery records = %+v", notes)
 	}
 	if none.count() != 0 {
 		t.Fatal("uncleared receiver got the message")

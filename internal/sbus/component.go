@@ -55,7 +55,13 @@ type Delivery struct {
 }
 
 // A Handler consumes messages delivered to a component's sinks. Handlers
-// run on the delivering goroutine and must not block.
+// run on the delivering goroutine and must not block. The message is
+// read-only: it may be the publisher's own, shared with every other sink
+// the publish reached, on any shard, and a copy is made only when
+// quenching removes an attribute. A handler never modifies it: one that
+// edits it, or keeps it to edit later, clones it first (msg.Message.Clone).
+// Reading it after the handler returns, or re-publishing it unchanged, is
+// fine, because the publisher does not modify it after Publish either.
 type Handler func(m *msg.Message, d Delivery)
 
 // An EndpointSpec declares one endpoint at registration time.
@@ -175,9 +181,10 @@ func (c *Component) SetContext(to ifc.SecurityContext) error {
 // must not be used as synchronous enforcement feedback; watch the audit
 // log for denials instead.
 //
-// The message must be treated as immutable once handed to Publish: a
-// cross-shard handoff retains it after Publish returns, and mutating it
-// afterwards races with the delivering dispatcher.
+// The message must be treated as immutable once handed to Publish: sinks
+// receive it itself (see Handler), a cross-shard handoff retains it after
+// Publish returns, and mutating it afterwards races with the delivering
+// dispatchers and handlers.
 func (c *Component) Publish(endpoint string, m *msg.Message) (int, error) {
 	return c.bus.publish(c, endpoint, m)
 }

@@ -57,7 +57,9 @@
 // (generation-stamp check, flow re-check, quenching, audit). If a ring is
 // full, or the bus has been Closed (so no dispatcher will drain the
 // ring), the publisher delivers inline instead, trading ordering for
-// liveness; the ring-full fallback is counted in ShardStats.
+// liveness; the ring-full fallback is counted in ShardStats. Every sink
+// receives the same read-only message; only quenching an attribute
+// away makes a copy (see Handler).
 //
 // Ordering semantics: deliveries on one channel from one publishing
 // goroutine are FIFO while the sink shard's ring has capacity (one

@@ -349,9 +349,8 @@ func (s *AuditStore) VerifyAgainst(l *audit.Log) error {
 
 // Offload makes the memory→disk tiering explicit: it waits until every
 // record the log has committed is durable here, then prunes the log's
-// in-memory records — audit.Log.Prune's "discarded segments for offload"
-// finally have somewhere to go. It returns the number of records dropped
-// from memory.
+// in-memory copies of them — the store is where the pruned range lives
+// on. It returns the number of records dropped from memory.
 func (s *AuditStore) Offload(l *audit.Log) (int, error) {
 	nextSeq, _ := l.Checkpoint()
 	if err := s.Sync(); err != nil {
@@ -362,7 +361,7 @@ func (s *AuditStore) Offload(l *audit.Log) (int, error) {
 	if durable < upto {
 		upto = durable
 	}
-	return len(l.Prune(upto)), nil
+	return l.Prune(upto), nil
 }
 
 // Records materialises records [from, to) (to == 0 means the end). Large

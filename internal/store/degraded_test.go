@@ -62,6 +62,39 @@ func TestAuditStoreDegradesOnWriteFailure(t *testing.T) {
 	_ = s.Close()
 }
 
+// TestAuditStoreDegradesOnOutsizedRecord: a record whose encoding is over
+// the WAL's payload limit is a write failure like any other — the store
+// degrades and buffers it, so the loss shows in Health instead of as a
+// torn tail that recovery would truncate uncounted.
+func TestAuditStoreDegradesOnOutsizedRecord(t *testing.T) {
+	s, err := OpenAudit(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	l := audit.NewLog(testClock())
+	if err := s.AttachLog(l); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, l, flowRec("sensor", "analyser"))
+	big := flowRec("sensor", "analyser")
+	big.Note = string(make([]byte, maxPayload))
+	r := commit(t, l, big)
+	h := s.Health()
+	if !h.Degraded || !errors.Is(h.Cause, ErrTooLarge) || h.Buffered != 1 {
+		t.Fatalf("health = %+v, want degraded by ErrTooLarge with 1 record buffered", h)
+	}
+	if recs := s.BufferedRecords(); len(recs) != 1 || recs[0].Hash != r.Hash {
+		t.Fatal("the outsized record is not the buffered one")
+	}
+	if err := s.Sync(); !errors.Is(err, ErrDegraded) || !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("Sync = %v, want ErrDegraded wrapping ErrTooLarge", err)
+	}
+	if n := s.Len(); n != 1 {
+		t.Fatalf("store holds %d records on disk, want the 1 before the outsized one", n)
+	}
+}
+
 // TestAuditStoreDegradedShedBound checks the buffer bound: beyond
 // maxDegradedBuffer records are shed and counted, never buffered without
 // bound and never dropped silently.

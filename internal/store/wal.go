@@ -32,6 +32,9 @@ var (
 // Errors reported by the WAL.
 var (
 	ErrClosed = errors.New("store: wal closed")
+	// ErrTooLarge reports a payload over the largest frame recovery
+	// accepts (maxPayload); Append refuses it before issuing a seq.
+	ErrTooLarge = errors.New("store: payload too large")
 	// ErrNotRetained reports a redaction target outside the retained,
 	// committed sequence range.
 	ErrNotRetained = errors.New("store: seq not retained")
@@ -324,8 +327,12 @@ func (w *WAL) syncDir() error {
 // durable once Sync returns (or once DurableSeq passes its seq). Append
 // never touches the disk itself, so callers on enforcement hot paths do
 // not block on I/O (beyond bounded backpressure when the committer falls
-// behind).
+// behind). A payload over 16 MiB is refused with ErrTooLarge: recovery
+// would read its frame as a torn tail.
 func (w *WAL) Append(t time.Time, payload []byte) (uint64, error) {
+	if len(payload) > maxPayload {
+		return 0, fmt.Errorf("%w: %d bytes, limit %d", ErrTooLarge, len(payload), maxPayload)
+	}
 	hstart := w.appendHist.Start()
 	if t.IsZero() {
 		t = time.Now()

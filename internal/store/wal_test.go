@@ -761,3 +761,45 @@ func TestWALOutsizedFrameLeavesNoOutsizedSpare(t *testing.T) {
 		t.Fatalf("read back %d entries around the outsized frame", len(got))
 	}
 }
+
+// TestWALRefusesOutsizedPayload: a payload over maxPayload is refused with
+// ErrTooLarge before it gets a seq, so the records around it stay readable
+// and the seq space has no hole, before and after a reopen.
+func TestWALRefusesOutsizedPayload(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(dir, Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append(time.Time{}, []byte("before")); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := w.Append(time.Time{}, make([]byte, maxPayload+1)); !errors.Is(err, ErrTooLarge) {
+		t.Fatalf("outsized append = seq %d, %v; want ErrTooLarge", seq, err)
+	}
+	if _, err := w.Append(time.Time{}, []byte("after")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		got := collect(t, w, 0, 0)
+		if len(got) != 2 || string(got[0].Payload) != "before" || string(got[1].Payload) != "after" {
+			t.Fatalf("%s: read back %d entries, want before and after", when, len(got))
+		}
+		if n := w.NextSeq(); n != 2 {
+			t.Fatalf("%s: NextSeq = %d, want 2", when, n)
+		}
+	}
+	check("before reopen")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = Open(dir, Options{NoSync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	check("after reopen")
+}

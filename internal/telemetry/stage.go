@@ -54,8 +54,10 @@ func StageEdges() []string {
 // A StageClock rides one sampled message through the pipeline in its
 // TraceContext. All methods are nil-receiver safe, so call sites mark
 // unconditionally on the pointer they carry. The clock is shared by
-// reference across message clones (Quench, relay republish) and across the
-// async audit hand-off, hence the atomic last-mark slot.
+// reference by every sink a delivery reaches, on any shard, by the copies
+// a message goes through (a sampled publish's traced copy, a quench that
+// removes an attribute) and by the async audit hand-off, hence the atomic
+// last-mark slot.
 type StageClock struct {
 	armNs int64
 	last  atomic.Int64

@@ -126,7 +126,8 @@ type (
 	Component = sbus.Component
 	// EndpointSpec declares a typed endpoint.
 	EndpointSpec = sbus.EndpointSpec
-	// Handler consumes delivered messages.
+	// Handler consumes delivered messages. A delivered message is shared
+	// and read-only: clone it before editing it.
 	Handler = sbus.Handler
 	// Delivery carries delivery metadata.
 	Delivery = sbus.Delivery

@@ -82,6 +82,10 @@ check 'stage-sample|SetStageSampling|stage_sample' \
     'stage attribution rides the sampled flow trace; `-trace-sample` is the one rate'
 check 're-encryption|web of trust' \
     'internal/pki holds only the Ed25519 key pairs attest signs with; the CA, re-encryption and web of trust are gone'
+check '(returns|returning) the (discarded|pruned) segment|(discarded|offloaded) segments' \
+    'Log.Prune returns the count it dropped and copies nothing; offload reads the range first, or the durable store holds it'
+check '(quenching|quench) (mutates|clones)|clone boundar|(Clones|clones) share the clock|per-delivery (copy|clone)' \
+    'deliveries share one read-only message; Quench copies only when it removes an attribute'
 
 if [ "$fail" -eq 0 ]; then
     echo "docs-freshness: OK"
