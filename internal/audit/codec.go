@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lciot/internal/ifc"
+	"lciot/internal/wire"
 )
 
 // This file is the binary wire form of a Record for durable storage
@@ -43,9 +44,11 @@ import (
 //
 // Security-context labels travel as their canonical String forms (labels
 // are interned, so String is a pointer read) and are re-interned on
-// decode — by lookup when the label is already interned (ifc.CanonicalLabel),
-// by ifc.ParseLabel otherwise; the hashes are carried verbatim, so a
+// decode by ifc.ParseLabelBytes — by lookup when the label is already
+// interned, by parsing otherwise; the hashes are carried verbatim, so a
 // decoded record verifies against the same chain it was encoded from.
+// Decode reads the bytes through wire.Reader; verify walks the same
+// fifteen fields with wire.Fields32, the function the Reader's walk uses.
 
 // recordWireV3 is the current binary record version byte.
 const recordWireV3 = 3
@@ -57,6 +60,7 @@ const recordFlagRedacted = 1 << 0
 const (
 	wireFlagsAt  = 23 // the flags byte, outside the hash preimage
 	wireFieldsAt = 24 // the first length-prefixed field
+	wireFields   = 15 // length-prefixed fields
 	wireHashLen  = 32
 )
 
@@ -121,40 +125,19 @@ func DecodeRecordBinary(data []byte) (Record, error) {
 		return r, fmt.Errorf("%w: record version %d, this build reads v%d (verify old stores with the lciot version that wrote them)",
 			ErrRecordCodec, data[0], recordWireV3)
 	}
-	off := 1
-	need := func(n int) error {
-		if off+n > len(data) {
-			return fmt.Errorf("%w: truncated at offset %d", ErrRecordCodec, off)
-		}
-		return nil
+	w := wire.NewReader(data, ErrRecordCodec)
+	w.Next(1) // the version, checked above
+	if head := w.Next(wireFieldsAt - 1); head != nil {
+		r.Seq = binary.BigEndian.Uint64(head)
+		r.Time = time.Unix(int64(binary.BigEndian.Uint64(head[8:])), int64(binary.BigEndian.Uint32(head[16:]))).UTC()
+		r.Kind = EventKind(head[20])
+		r.Layer = Layer(head[21])
+		r.Redacted = head[22]&recordFlagRedacted != 0
 	}
-	if err := need(8 + 8 + 4 + 3); err != nil {
+	var fields [wireFields][]byte
+	w.Fields32(fields[:])
+	if err := w.Err(); err != nil {
 		return r, err
-	}
-	r.Seq = binary.BigEndian.Uint64(data[off:])
-	off += 8
-	sec := int64(binary.BigEndian.Uint64(data[off:]))
-	off += 8
-	nsec := binary.BigEndian.Uint32(data[off:])
-	off += 4
-	r.Time = time.Unix(sec, int64(nsec)).UTC()
-	r.Kind = EventKind(data[off])
-	r.Layer = Layer(data[off+1])
-	r.Redacted = data[off+2]&recordFlagRedacted != 0
-	off += 3
-
-	var fields [15][]byte
-	for i := range fields {
-		if err := need(4); err != nil {
-			return r, err
-		}
-		n := int(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		if err := need(n); err != nil {
-			return r, err
-		}
-		fields[i] = data[off : off+n]
-		off += n
 	}
 	r.Domain = string(fields[0])
 	r.Src = ifc.EntityID(fields[1])
@@ -163,12 +146,9 @@ func DecodeRecordBinary(data []byte) (Record, error) {
 		&r.SrcCtx.Secrecy, &r.SrcCtx.Integrity, &r.SrcCtx.Jurisdiction, &r.SrcCtx.Purpose,
 		&r.DstCtx.Secrecy, &r.DstCtx.Integrity, &r.DstCtx.Jurisdiction, &r.DstCtx.Purpose,
 	} {
-		l, ok := ifc.CanonicalLabel(fields[3+i])
-		if !ok {
-			var err error
-			if l, err = ifc.ParseLabel(string(fields[3+i])); err != nil {
-				return r, fmt.Errorf("%w: context label %d: %v", ErrRecordCodec, i, err)
-			}
+		l, err := ifc.ParseLabelBytes(fields[3+i])
+		if err != nil {
+			return r, fmt.Errorf("%w: context label %d: %v", ErrRecordCodec, i, err)
 		}
 		*dst = l
 	}
@@ -177,16 +157,12 @@ func DecodeRecordBinary(data []byte) (Record, error) {
 	r.Note = string(fields[13])
 	r.TraceID = string(fields[14])
 
-	if err := need(64); err != nil {
-		return r, err
+	if h := w.Next(2 * wireHashLen); h != nil {
+		copy(r.PrevHash[:], h)
+		copy(r.Hash[:], h[wireHashLen:])
 	}
-	copy(r.PrevHash[:], data[off:off+32])
-	copy(r.Hash[:], data[off+32:off+64])
-	off += 64
-	if off != len(data) {
-		return r, fmt.Errorf("%w: %d trailing bytes", ErrRecordCodec, len(data)-off)
-	}
-	return r, nil
+	w.End()
+	return r, w.Err()
 }
 
 // VerifyRecordBinary proves one binary record's content hash from its
@@ -209,24 +185,10 @@ func VerifyRecordBinary(data []byte) (seq uint64, prev, hash [32]byte, ok bool) 
 		binary.BigEndian.Uint32(data[17:]) >= 1e9 { // nsec: decode would normalise the time
 		return
 	}
-	off := wireFieldsAt
-	for i := 0; i < 15; i++ {
-		if len(data)-off < 4 {
-			return
-		}
-		n := binary.BigEndian.Uint32(data[off:])
-		off += 4
-		if uint64(len(data)-off) < uint64(n) {
-			return
-		}
-		if i >= 3 && i <= 10 { // the eight context labels
-			if _, canon := ifc.CanonicalLabel(data[off : off+int(n)]); !canon {
-				return
-			}
-		}
-		off += int(n)
-	}
-	if len(data)-off != 2*wireHashLen {
+	var fields [wireFields][]byte
+	n, whole := wire.Fields32(data[wireFieldsAt:], fields[:]) // the walk decode takes
+	if !whole || len(data)-wireFieldsAt-n != 2*wireHashLen ||
+		!ifc.AllCanonical(fields[3:11]) { // the eight context labels
 		return
 	}
 	s := hasherPool.Get().(*hashScratch)
@@ -238,6 +200,6 @@ func VerifyRecordBinary(data []byte) (seq uint64, prev, hash [32]byte, ok bool) 
 	if string(sum[:]) != string(data[len(data)-wireHashLen:]) {
 		return
 	}
-	copy(prev[:], data[off:])
+	copy(prev[:], data[len(data)-2*wireHashLen:])
 	return binary.BigEndian.Uint64(data[1:]), prev, sum, true
 }

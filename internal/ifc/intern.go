@@ -140,12 +140,36 @@ func CanonicalLabel(b []byte) (Label, bool) {
 		return Label{}, true
 	}
 	interned.mu.RLock()
-	rec := interned.labels[string(b)]
+	rec := canonicalRecLocked(b)
 	interned.mu.RUnlock()
-	if rec == nil || !rec.canon {
+	if rec == nil {
 		return Label{}, false
 	}
 	return Label{rec: rec}, true
+}
+
+// AllCanonical reports whether CanonicalLabel answers for every label in
+// bs, taking the intern table's read lock once: a verifier checking a
+// record's eight context labels pays one lock, not eight.
+func AllCanonical(bs [][]byte) bool {
+	interned.mu.RLock()
+	defer interned.mu.RUnlock()
+	for _, b := range bs {
+		if string(b) != "∅" && canonicalRecLocked(b) == nil {
+			return false
+		}
+	}
+	return true
+}
+
+// canonicalRecLocked returns the interned label whose canonical string is
+// exactly b when ParseLabel would rebuild it, or nil. Callers hold
+// interned.mu for reading.
+func canonicalRecLocked(b []byte) *labelRec {
+	if rec := interned.labels[string(b)]; rec != nil && rec.canon {
+		return rec
+	}
+	return nil
 }
 
 // internTagLocked assigns (or returns) the intern ID of a tag. Callers must

@@ -79,6 +79,16 @@ func ParseLabel(s string) (Label, error) {
 	return NewLabel(tags...)
 }
 
+// ParseLabelBytes is ParseLabel for a label read straight out of a wire
+// buffer: a canonical interned label resolves without allocating
+// (CanonicalLabel), anything else is parsed from a copy.
+func ParseLabelBytes(b []byte) (Label, error) {
+	if l, ok := CanonicalLabel(b); ok {
+		return l, nil
+	}
+	return ParseLabel(string(b))
+}
+
 // newLabelUnchecked sorts and deduplicates without validating tags.
 func newLabelUnchecked(tags []Tag) Label {
 	if len(tags) == 0 {

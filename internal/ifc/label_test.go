@@ -331,3 +331,29 @@ func TestCanonicalLabelAllocatesNothing(t *testing.T) {
 		t.Fatalf("CanonicalLabel allocates %v times per call", n)
 	}
 }
+
+// TestParseLabelBytesMatchesParseLabel: the []byte form answers as
+// ParseLabel does, canonical hits and parsed misses alike, a canonical hit
+// allocates nothing, and AllCanonical answers as CanonicalLabel does.
+func TestParseLabelBytesMatchesParseLabel(t *testing.T) {
+	MustLabel("medical", "ann")
+	for _, s := range []string{"{ann,medical}", "∅", "{}", "{medical,ann}", " {ann, medical} ", "{never-interned-tag-b}", "", "ann", "{a b}"} {
+		want, wantErr := ParseLabel(s)
+		got, err := ParseLabelBytes([]byte(s))
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) || !got.Equal(want) {
+			t.Fatalf("ParseLabelBytes(%q) = %v, %v; ParseLabel = %v, %v", s, got, err, want, wantErr)
+		}
+	}
+	canon := [][]byte{[]byte("{ann,medical}"), []byte("∅")}
+	if !AllCanonical(canon) || AllCanonical(append(canon, []byte("{medical,ann}"))) {
+		t.Fatal("AllCanonical disagrees with CanonicalLabel")
+	}
+	b := []byte(MustLabel("medical", "ann").String())
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ParseLabelBytes(b); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("ParseLabelBytes of a canonical label allocates %v times per call", n)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"math"
 	"sort"
 	"sync"
+
+	"lciot/internal/wire"
 )
 
 // This file provides the wire encoding: a compact binary TLV form for the
@@ -66,7 +68,10 @@ func sortedFieldNames(dst []string, m *Message) []string {
 //
 // where value is: u32 len + bytes (string/bytes), 8-byte IEEE754 (float),
 // 8-byte two's complement (int), 1 byte (bool). Field order is sorted by
-// name so the encoding is canonical.
+// name so the encoding is canonical. A type, data ID or name longer than
+// 65 535 bytes is refused rather than written with a truncated length, and
+// the decoder reads through wire.Reader, which bounds nattrs by the bytes
+// that follow before the attribute map is sized on it.
 
 // AppendBinary appends the compact binary form of m to dst and returns the
 // extended slice, using the caller-supplied (possibly nil) names scratch
@@ -79,12 +84,19 @@ func AppendBinary(dst []byte, m *Message) ([]byte, error) {
 
 func appendBinary(buf []byte, names []string, m *Message) ([]byte, []string, error) {
 	names = sortedFieldNames(names, m)
-	buf = appendString16(buf, m.Type)
-	buf = appendString16(buf, m.DataID)
+	var err error
+	if buf, err = wire.AppendStr16(buf, m.Type, ErrCodec); err != nil {
+		return nil, names, err
+	}
+	if buf, err = wire.AppendStr16(buf, m.DataID, ErrCodec); err != nil {
+		return nil, names, err
+	}
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(names)))
 	for _, name := range names {
 		v := m.Attrs[name]
-		buf = appendString16(buf, name)
+		if buf, err = wire.AppendStr16(buf, name, ErrCodec); err != nil {
+			return nil, names, err
+		}
 		buf = append(buf, byte(v.Type))
 		switch v.Type {
 		case TString:
@@ -125,142 +137,43 @@ func EncodeBinary(m *Message) ([]byte, error) {
 	return out, nil
 }
 
+// minAttrLen is the smallest encoded attribute: an empty name's u16
+// length, the type byte and a bool. DecodeBinary bounds the declared count
+// by it before sizing the attribute map.
+const minAttrLen = 2 + 1 + 1
+
 // DecodeBinary parses the compact binary form.
 func DecodeBinary(data []byte) (*Message, error) {
-	d := &decoder{buf: data}
-	typ, err := d.string16()
-	if err != nil {
-		return nil, err
-	}
-	dataID, err := d.string16()
-	if err != nil {
-		return nil, err
-	}
-	n, err := d.uint16()
-	if err != nil {
+	r := wire.NewReader(data, ErrCodec)
+	typ, dataID := r.Str16(), r.Str16()
+	n := r.Count(int(r.U16()), minAttrLen, "attributes")
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	m := &Message{Type: typ, DataID: dataID, Attrs: make(map[string]Value, n)}
-	for i := 0; i < int(n); i++ {
-		name, err := d.string16()
-		if err != nil {
-			return nil, err
-		}
-		ft, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		switch FieldType(ft) {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		name := r.Str16()
+		switch ft := r.Byte(); FieldType(ft) {
 		case TString:
-			s, err := d.bytes32()
-			if err != nil {
-				return nil, err
-			}
-			m.Attrs[name] = Str(string(s))
+			m.Attrs[name] = Str(string(r.Bytes32()))
 		case TFloat:
-			u, err := d.uint64()
-			if err != nil {
-				return nil, err
-			}
-			m.Attrs[name] = Float(math.Float64frombits(u))
+			m.Attrs[name] = Float(math.Float64frombits(r.U64()))
 		case TInt:
-			u, err := d.uint64()
-			if err != nil {
-				return nil, err
-			}
-			m.Attrs[name] = Int(int64(u))
+			m.Attrs[name] = Int(int64(r.U64()))
 		case TBool:
-			b, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			m.Attrs[name] = Bool(b != 0)
+			m.Attrs[name] = Bool(r.Byte() != 0)
 		case TBytes:
-			b, err := d.bytes32()
-			if err != nil {
-				return nil, err
-			}
+			b := r.Bytes32()
 			owned := make([]byte, len(b))
 			copy(owned, b)
 			m.Attrs[name] = Bytes(owned)
 		default:
-			return nil, fmt.Errorf("%w: field %q has type byte %d", ErrCodec, name, ft)
+			r.Fail("field %q has type byte %d", name, ft)
 		}
 	}
-	if len(d.buf[d.off:]) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, len(d.buf[d.off:]))
+	r.End()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return m, nil
-}
-
-func appendString16(buf []byte, s string) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
-// decoder is a bounds-checked cursor.
-type decoder struct {
-	buf []byte
-	off int
-}
-
-func (d *decoder) need(n int) error {
-	if d.off+n > len(d.buf) {
-		return fmt.Errorf("%w: truncated at offset %d", ErrCodec, d.off)
-	}
-	return nil
-}
-
-func (d *decoder) byte() (byte, error) {
-	if err := d.need(1); err != nil {
-		return 0, err
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *decoder) uint16() (uint16, error) {
-	if err := d.need(2); err != nil {
-		return 0, err
-	}
-	v := binary.BigEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v, nil
-}
-
-func (d *decoder) uint64() (uint64, error) {
-	if err := d.need(8); err != nil {
-		return 0, err
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *decoder) string16() (string, error) {
-	n, err := d.uint16()
-	if err != nil {
-		return "", err
-	}
-	if err := d.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-func (d *decoder) bytes32() ([]byte, error) {
-	if err := d.need(4); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	if err := d.need(int(n)); err != nil {
-		return nil, err
-	}
-	b := d.buf[d.off : d.off+int(n)]
-	d.off += int(n)
-	return b, nil
 }

@@ -8,6 +8,7 @@ import (
 	"lciot/internal/ifc"
 	"lciot/internal/msg"
 	"lciot/internal/telemetry"
+	"lciot/internal/wire"
 )
 
 // This file is the link protocol: the binary wire form of cross-bus frames.
@@ -32,8 +33,9 @@ import (
 // enforce residency before data leaves a region.
 //
 // Labels travel as their canonical String form (a pointer read on interned
-// labels) and are re-interned by ifc.ParseLabel on decode — the same idiom
-// as audit's binary record codec.
+// labels) and are resolved on decode by ifc.ParseLabelBytes, which finds a
+// canonical label in the intern table without allocating — the same idiom
+// as audit's binary record codec. Every field is read through wire.Reader.
 //
 // Every frame — hellos and results included — ends with the same 25-byte
 // trailer: the flow-trace ID and hop count (zero when the flow is
@@ -138,21 +140,22 @@ func kindByte(kind string) (byte, error) {
 	return 0, fmt.Errorf("%w: unknown kind %q", ErrWire, kind)
 }
 
-// kindString is the inverse of kindByte.
-func kindString(k byte) (string, error) {
+// kindString is the inverse of kindByte; an unknown byte fails r.
+func kindString(r *wire.Reader, k byte) string {
 	switch k {
 	case kindHello:
-		return "hello", nil
+		return "hello"
 	case kindConnect:
-		return "connect", nil
+		return "connect"
 	case kindResult:
-		return "result", nil
+		return "result"
 	case kindMessage:
-		return "message", nil
+		return "message"
 	case kindDisconnect:
-		return "disconnect", nil
+		return "disconnect"
 	}
-	return "", fmt.Errorf("%w: unknown kind byte %d", ErrWire, k)
+	r.Fail("unknown kind byte %d", k)
+	return ""
 }
 
 // AppendBatchHeader appends a batch header for count frames.
@@ -189,11 +192,9 @@ func appendFramePrefix(dst []byte, f *LinkFrame) ([]byte, error) {
 		f.SrcJurisdiction.String(), f.SrcPurpose.String(),
 		f.Schema, string(f.Agent), f.Err,
 	} {
-		if len(s) > 0xFFFF {
-			return dst, fmt.Errorf("%w: field of %d bytes exceeds 64 KiB", ErrWire, len(s))
+		if dst, err = wire.AppendStr16(dst, s, ErrWire); err != nil {
+			return dst, err
 		}
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
-		dst = append(dst, s...)
 	}
 	return dst, nil
 }
@@ -230,149 +231,46 @@ func appendMessageFrame(dst []byte, f *LinkFrame, m *msg.Message) ([]byte, error
 	return appendTrailer(dst, f.Trace, f.EgressNs), nil
 }
 
-// wireDecoder is a bounds-checked cursor over one received batch.
-type wireDecoder struct {
-	buf []byte
-	off int
-}
-
-func (d *wireDecoder) need(n int) error {
-	if d.off+n > len(d.buf) {
-		return fmt.Errorf("%w: truncated at offset %d", ErrWire, d.off)
-	}
-	return nil
-}
-
-func (d *wireDecoder) byte() (byte, error) {
-	if err := d.need(1); err != nil {
-		return 0, err
-	}
-	b := d.buf[d.off]
-	d.off++
-	return b, nil
-}
-
-func (d *wireDecoder) uint16() (uint16, error) {
-	if err := d.need(2); err != nil {
-		return 0, err
-	}
-	v := binary.BigEndian.Uint16(d.buf[d.off:])
-	d.off += 2
-	return v, nil
-}
-
-func (d *wireDecoder) uint64() (uint64, error) {
-	if err := d.need(8); err != nil {
-		return 0, err
-	}
-	v := binary.BigEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v, nil
-}
-
-func (d *wireDecoder) string16() (string, error) {
-	n, err := d.uint16()
-	if err != nil {
-		return "", err
-	}
-	if err := d.need(int(n)); err != nil {
-		return "", err
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s, nil
-}
-
-// decodeFrame parses one frame at the cursor.
-func (d *wireDecoder) decodeFrame() (LinkFrame, error) {
-	var f LinkFrame
-	k, err := d.byte()
-	if err != nil {
-		return f, err
-	}
-	if f.Kind, err = kindString(k); err != nil {
-		return f, err
-	}
-	if f.ID, err = d.uint64(); err != nil {
-		return f, err
-	}
-	flags, err := d.byte()
-	if err != nil {
-		return f, err
-	}
-	f.OK = flags&flagOK != 0
-	if f.Bus, err = d.string16(); err != nil {
-		return f, err
-	}
-	if f.Src, err = d.string16(); err != nil {
-		return f, err
-	}
-	if f.Dst, err = d.string16(); err != nil {
-		return f, err
-	}
-	srcS, err := d.string16()
-	if err != nil {
-		return f, err
-	}
-	if f.SrcSecrecy, err = ifc.ParseLabel(srcS); err != nil {
-		return f, fmt.Errorf("%w: src secrecy: %v", ErrWire, err)
-	}
-	srcI, err := d.string16()
-	if err != nil {
-		return f, err
-	}
-	if f.SrcIntegrity, err = ifc.ParseLabel(srcI); err != nil {
-		return f, fmt.Errorf("%w: src integrity: %v", ErrWire, err)
-	}
-	srcJ, err := d.string16()
-	if err != nil {
-		return f, err
-	}
-	if f.SrcJurisdiction, err = ifc.ParseLabel(srcJ); err != nil {
-		return f, fmt.Errorf("%w: src jurisdiction: %v", ErrWire, err)
-	}
-	srcP, err := d.string16()
-	if err != nil {
-		return f, err
-	}
-	if f.SrcPurpose, err = ifc.ParseLabel(srcP); err != nil {
-		return f, fmt.Errorf("%w: src purpose: %v", ErrWire, err)
-	}
-	if f.Schema, err = d.string16(); err != nil {
-		return f, err
-	}
-	agent, err := d.string16()
-	if err != nil {
-		return f, err
-	}
-	f.Agent = ifc.PrincipalID(agent)
-	if f.Err, err = d.string16(); err != nil {
-		return f, err
-	}
-	if err := d.need(4); err != nil {
-		return f, err
-	}
-	n := binary.BigEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	if err := d.need(int(n)); err != nil {
-		return f, err
-	}
-	if n > 0 {
+// decodeFrame parses one frame at the cursor into f.
+func decodeFrame(r *wire.Reader, f *LinkFrame) {
+	f.Kind = kindString(r, r.Byte())
+	f.ID = r.U64()
+	f.OK = r.Byte()&flagOK != 0
+	f.Bus = r.Str16()
+	f.Src = r.Str16()
+	f.Dst = r.Str16()
+	f.SrcSecrecy = readLabel(r, "src secrecy")
+	f.SrcIntegrity = readLabel(r, "src integrity")
+	f.SrcJurisdiction = readLabel(r, "src jurisdiction")
+	f.SrcPurpose = readLabel(r, "src purpose")
+	f.Schema = r.Str16()
+	f.Agent = ifc.PrincipalID(r.Str16())
+	f.Err = r.Str16()
+	if p := r.Bytes32(); len(p) > 0 {
 		// The payload escapes the read buffer (handlers may retain the
 		// decoded message's bytes), so copy it out.
-		f.Payload = make([]byte, n)
-		copy(f.Payload, d.buf[d.off:])
+		f.Payload = make([]byte, len(p))
+		copy(f.Payload, p)
 	}
-	d.off += int(n)
-	if err := d.need(trailerLen); err != nil {
-		return f, err
+	if t := r.Next(trailerLen); t != nil {
+		f.Trace.ID.Hi = binary.BigEndian.Uint64(t)
+		f.Trace.ID.Lo = binary.BigEndian.Uint64(t[8:])
+		f.Trace.Hop = t[16]
+		f.EgressNs = binary.BigEndian.Uint64(t[17:])
 	}
-	f.Trace.ID.Hi = binary.BigEndian.Uint64(d.buf[d.off:])
-	f.Trace.ID.Lo = binary.BigEndian.Uint64(d.buf[d.off+8:])
-	f.Trace.Hop = d.buf[d.off+16]
-	f.EgressNs = binary.BigEndian.Uint64(d.buf[d.off+17:])
-	d.off += trailerLen
-	return f, nil
+}
+
+// readLabel reads one str16 label field; what names it in a refusal.
+func readLabel(r *wire.Reader, what string) ifc.Label {
+	b := r.Bytes16()
+	if r.Err() != nil {
+		return ifc.Label{}
+	}
+	l, err := ifc.ParseLabelBytes(b)
+	if err != nil {
+		r.Fail("%s: %v", what, err)
+	}
+	return l
 }
 
 // DecodeBatch parses one received transport frame into its link frames.
@@ -397,23 +295,21 @@ func DecodeBatch(data []byte) ([]LinkFrame, error) {
 		return nil, fmt.Errorf("%w: peer speaks link protocol v%d, this bus speaks only v%d",
 			ErrProtocol, v, linkVersion)
 	}
-	count := int(binary.BigEndian.Uint16(data[2:]))
+	r := wire.NewReader(data, ErrWire)
+	r.Next(2) // magic and version, checked above
 	// The count comes from the peer: bound it by what the bytes can hold
 	// before sizing the frame slice on it.
-	if count > (len(data)-batchHeaderLen)/minFrameLen {
-		return nil, fmt.Errorf("%w: header claims %d frames in %d bytes", ErrWire, count, len(data))
+	count := r.Count(int(r.U16()), minFrameLen, "frames")
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	d := &wireDecoder{buf: data, off: batchHeaderLen}
-	frames := make([]LinkFrame, 0, count)
-	for i := 0; i < count; i++ {
-		f, err := d.decodeFrame()
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, f)
+	frames := make([]LinkFrame, count)
+	for i := range frames {
+		decodeFrame(&r, &frames[i])
 	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrWire, len(data)-d.off)
+	r.End()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	return frames, nil
 }

@@ -239,3 +239,18 @@ func containsAll(s string, subs ...string) bool {
 	}
 	return true
 }
+
+// TestDecodeBatchLabelsAllocateNothing: a frame's labels are resolved from
+// the read buffer through the intern table, so a frame whose labels are
+// canonical allocates the frame slice, its six non-empty strings and the
+// payload copy, and no label strings.
+func TestDecodeBatchLabelsAllocateNothing(t *testing.T) {
+	buf := encodeBatch(t, testFrame())
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeBatch(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 1+6+1 {
+		t.Fatalf("DecodeBatch of one canonical-label frame: %v allocations, want 8", n)
+	}
+}

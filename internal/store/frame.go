@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"lciot/internal/wire"
 )
 
 // On-disk layout. A segment file is a 16-byte header followed by frames:
@@ -53,13 +55,15 @@ func appendSegHeader(dst []byte, firstSeq uint64) []byte {
 
 // parseSegHeader validates a segment header and returns its firstSeq.
 func parseSegHeader(b []byte) (uint64, error) {
-	if len(b) < segHeaderLen || string(b[:4]) != segMagic {
+	r := wire.NewReader(b, ErrCorrupt)
+	magic, version, _, firstSeq := r.Next(len(segMagic)), r.U16(), r.U16(), r.U64()
+	if r.Err() != nil || string(magic) != segMagic {
 		return 0, fmt.Errorf("%w: bad header", ErrCorrupt)
 	}
-	if v := binary.BigEndian.Uint16(b[4:]); v != segVersion {
-		return 0, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, v)
+	if version != segVersion {
+		return 0, fmt.Errorf("%w: unsupported segment version %d", ErrCorrupt, version)
 	}
-	return binary.BigEndian.Uint64(b[8:]), nil
+	return firstSeq, nil
 }
 
 // appendFrame appends one framed record to dst.
